@@ -1,5 +1,6 @@
 #include "cache/hierarchy.h"
 
+#include <bit>
 #include <cctype>
 
 #include "common/logging.h"
@@ -107,17 +108,9 @@ CacheHierarchy::propagateWriteback(std::size_t from, Addr blockAddr)
 void
 CacheHierarchy::snoopLine(Addr addr)
 {
-    snoopLineLevels(addr, ~std::uint32_t{0});
-}
-
-void
-CacheHierarchy::snoopLineLevels(Addr addr, std::uint32_t levelMask)
-{
     bool dirtyAnywhere = false;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-        if ((levelMask & (std::uint32_t{1} << i)) == 0)
-            continue;
-        auto dirty = levels_[i]->invalidateBlock(addr);
+    for (auto &level : levels_) {
+        auto dirty = level->invalidateBlock(addr);
         if (dirty.has_value() && *dirty)
             dirtyAnywhere = true;
     }
@@ -136,22 +129,13 @@ CacheHierarchy::invalidateLine(Addr addr)
 }
 
 void
-CacheHierarchy::snoopPage(Addr pn)
+CacheHierarchy::snoopLines(Addr pn, std::uint64_t lines)
 {
-    // Batched early-out: probe each level once for the whole page and
-    // only walk the 64 lines through levels that hold something. On
-    // the eviction path most snooped pages are long gone from the CPU
-    // caches, so this usually returns after the probe.
-    std::uint32_t levelMask = 0;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-        if (levels_[i]->holdsLineOfPage(pn))
-            levelMask |= std::uint32_t{1} << i;
-    }
-    if (levelMask == 0)
-        return;
     Addr base = pn * pageSize;
-    for (unsigned line = 0; line < linesPerPage; ++line)
-        snoopLineLevels(base + line * cacheLineSize, levelMask);
+    for (; lines != 0; lines &= lines - 1) {
+        auto line = static_cast<unsigned>(std::countr_zero(lines));
+        snoopLine(base + line * cacheLineSize);
+    }
 }
 
 void

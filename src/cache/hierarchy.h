@@ -11,7 +11,9 @@
  * The model is non-inclusive: a dirty victim of level i is filled into
  * level i+1; a dirty victim of the last level is a memory writeback.
  * snoopLine() force-flushes a line from every level, modelling the
- * FPGA snooping the CPU caches before it evicts a page (§4.4).
+ * FPGA snooping the CPU caches before it evicts a page (§4.4);
+ * snoopLines() does so for the lines of one page the FPGA's snoop
+ * filter names.
  */
 
 #ifndef KONA_CACHE_HIERARCHY_H
@@ -88,8 +90,14 @@ class CacheHierarchy
      */
     void snoopLine(Addr addr);
 
+    /**
+     * Snoop the lines of 4KB page @p pn whose bits are set in
+     * @p lines (bit i = line i), in ascending line order.
+     */
+    void snoopLines(Addr pn, std::uint64_t lines);
+
     /** Snoop all 64 lines of 4KB page @p pn. */
-    void snoopPage(Addr pn);
+    void snoopPage(Addr pn) { snoopLines(pn, ~std::uint64_t{0}); }
 
     /**
      * Drop the line containing @p addr from every level WITHOUT a
@@ -116,8 +124,6 @@ class CacheHierarchy
     void accessLine(Addr lineAddr, AccessType type);
     /** Push a dirty victim of level @p from downwards (iterative). */
     void propagateWriteback(std::size_t from, Addr blockAddr);
-    /** snoopLine restricted to levels whose bit is set in @p levelMask. */
-    void snoopLineLevels(Addr addr, std::uint32_t levelMask);
 
     MetricScope scope_;
     std::vector<std::unique_ptr<SetAssocCache>> levels_;

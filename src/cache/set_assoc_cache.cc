@@ -114,25 +114,6 @@ SetAssocCache::contains(Addr addr) const
     return false;
 }
 
-bool
-SetAssocCache::holdsLineOfPage(Addr pn) const
-{
-    Addr firstBlock = pn * pageSize / config_.blockSize;
-    std::size_t count = config_.blockSize < pageSize
-                            ? pageSize / config_.blockSize
-                            : 1;
-    for (std::size_t k = 0; k < count; ++k) {
-        Addr blockNum = firstBlock + k;
-        const Way *set = setBase(setIndex(blockNum));
-        std::size_t used = used_[setIndex(blockNum)];
-        for (std::size_t i = 0; i < used; ++i) {
-            if (set[i].tag == blockNum)
-                return true;
-        }
-    }
-    return false;
-}
-
 std::optional<bool>
 SetAssocCache::invalidateBlock(Addr addr)
 {

@@ -83,13 +83,6 @@ class SetAssocCache
     bool contains(Addr addr) const;
 
     /**
-     * Whether any block overlapping 4KB page @p pn is cached (no side
-     * effects, no LRU update). Lets snoopPage() skip levels that hold
-     * nothing of the page.
-     */
-    bool holdsLineOfPage(Addr pn) const;
-
-    /**
      * Remove the block containing @p addr (snoop / back-invalidate).
      * @return The dirty flag if the block was present.
      */
@@ -97,6 +90,21 @@ class SetAssocCache
 
     /** Evict everything; victims go to @p evictions (cold path). */
     void flushAll(std::vector<CacheEviction> &evictions);
+
+    /**
+     * Call @p fn(blockAddr, dirty) for every cached block, set by set
+     * and MRU first within a set, without LRU or counter side effects.
+     */
+    template <typename Fn>
+    void
+    forEachBlock(Fn &&fn) const
+    {
+        for (std::size_t s = 0; s < numSets_; ++s) {
+            const Way *set = setBase(s);
+            for (std::size_t i = 0; i < used_[s]; ++i)
+                fn(set[i].tag * config_.blockSize, set[i].dirty);
+        }
+    }
 
     const CacheConfig &config() const { return config_; }
     std::uint64_t hits() const { return hits_.value(); }

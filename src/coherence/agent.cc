@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "cache/hierarchy.h"
 #include "common/logging.h"
 #include "core/eviction_handler.h"
 #include "fpga/coherent_fpga.h"
@@ -20,11 +19,10 @@ namespace kona {
 
 CoherenceAgent::CoherenceAgent(DirectoryService &directory, NodeId node,
                                CoherentFpga &fpga,
-                               CacheHierarchy &hierarchy,
                                EvictionHandler &evictor,
                                RetryPolicy retry, MetricScope scope)
     : directory_(directory), node_(node), fpga_(fpga),
-      hierarchy_(hierarchy), evictor_(evictor), retry_(retry),
+      evictor_(evictor), retry_(retry),
       scope_(std::move(scope)),
       retrySeed_(0xc011ULL + std::uint64_t(node) * 0x9e3779b97f4a7c15ULL),
       acquires_(scope_.counter("acquires")),
@@ -111,7 +109,7 @@ CoherenceAgent::onInvalidate(Addr vpn, SimClock &clock)
     // the writeback listener), then ship dirty|stale lines through
     // the async eviction pipeline and drop the frame. The drop hook
     // fires onPageDropped -> directory release reentrantly.
-    hierarchy_.snoopPage(vpn);
+    fpga_.snoopPage(vpn);
     std::uint64_t mask = fpga_.dirtyMask(vpn) | fpga_.staleLines(vpn);
     bool released = evictor_.flushPage(vpn, clock);
 

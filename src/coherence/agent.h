@@ -36,7 +36,6 @@
 
 namespace kona {
 
-class CacheHierarchy;
 class CoherentFpga;
 class EvictionHandler;
 
@@ -51,9 +50,8 @@ class CoherenceAgent : public CoherencePeer
      *                (RetryState keeps a reference into the copy).
      */
     CoherenceAgent(DirectoryService &directory, NodeId node,
-                   CoherentFpga &fpga, CacheHierarchy &hierarchy,
-                   EvictionHandler &evictor, RetryPolicy retry,
-                   MetricScope scope = {});
+                   CoherentFpga &fpga, EvictionHandler &evictor,
+                   RetryPolicy retry, MetricScope scope = {});
 
     NodeId node() const { return node_; }
 
@@ -145,7 +143,6 @@ class CoherenceAgent : public CoherencePeer
     DirectoryService &directory_;
     NodeId node_;
     CoherentFpga &fpga_;
-    CacheHierarchy &hierarchy_;
     EvictionHandler &evictor_;
     GateEndpoint gate_;
     RetryPolicy retry_;

@@ -44,11 +44,10 @@ runsOf(std::uint64_t mask, LineRuns &runs)
 } // namespace
 
 EvictionHandler::EvictionHandler(Fabric &fabric, CoherentFpga &fpga,
-                                 CacheHierarchy &hierarchy,
                                  Controller &controller,
                                  EvictionConfig config, MetricScope scope)
-    : fabric_(fabric), fpga_(fpga), hierarchy_(hierarchy),
-      controller_(controller), config_(config), scope_(std::move(scope)),
+    : fabric_(fabric), fpga_(fpga), controller_(controller),
+      config_(config), scope_(std::move(scope)),
       retryPolicy_(config.retry.value_or(RetryPolicy{})),
       poller_(fabric.latency()),
       trace_(config.trace),
@@ -206,14 +205,15 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
     batch.requested = req.vpns.size();
     batch.lane = traceLane_;
 
-    // Phase 1: snoop CPU caches and read the dirty masks. Clean pages
-    // drop silently; remote memory already holds their bytes.
+    // Phase 1: snoop the page's lines out of the CPU caches (only the
+    // lines the FPGA's snoop filter names) and read the dirty masks.
+    // Clean pages drop silently; remote memory already holds them.
     {
         Span scan(trace_, clock, "bitmap_scan", "evict", traceLane_);
         for (Addr vpn : req.vpns) {
             if (!fpga_.pageResident(vpn))
                 continue;
-            hierarchy_.snoopPage(vpn);
+            fpga_.snoopPage(vpn);
             clock.advance(static_cast<Tick>(lat.bitmapScanPerPageNs));
             breakdown_.bitmapNs += lat.bitmapScanPerPageNs;
             // Stale lines ride along: a copy that missed an earlier
@@ -648,6 +648,8 @@ EvictionHandler::finalizeBatch(Batch &batch)
             requeue_.insert(page.vpn);
             continue;
         }
+        // Lines read while the log was on the wire sit clean in the CPU
+        // caches; dropPage snoops them out before the frame goes.
         lines_.add(std::popcount(page.mask));
         fpga_.dropPage(page.vpn);
         pagesEvicted_.add();

@@ -134,8 +134,8 @@ class EvictionHandler
   public:
     /** @param scope Telemetry scope for the eviction counters. */
     EvictionHandler(Fabric &fabric, CoherentFpga &fpga,
-                    CacheHierarchy &hierarchy, Controller &controller,
-                    EvictionConfig config = {}, MetricScope scope = {});
+                    Controller &controller, EvictionConfig config = {},
+                    MetricScope scope = {});
 
     // --- asynchronous request API ------------------------------------
 
@@ -386,7 +386,6 @@ class EvictionHandler
 
     Fabric &fabric_;
     CoherentFpga &fpga_;
-    CacheHierarchy &hierarchy_;
     Controller &controller_;
     GateEndpoint gate_;
     EvictionConfig config_;

@@ -37,7 +37,7 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
       scope_(scope.sub("cn" + std::to_string(computeNode))),
       fpga_(fabric, computeNode, config.fpga, scope_.sub("fpga")),
       hierarchy_(config.hierarchy, scope_.sub("hierarchy")),
-      evictor_(fabric, fpga_, hierarchy_, controller,
+      evictor_(fabric, fpga_, controller,
                resolvedEvictionConfig(config, trace_, journal_),
                scope_.sub("evict")),
       vfmemCursor_(config.fpga.vfmemBase),
@@ -61,6 +61,7 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
     fpga_.setMissAttribution(&missAttr_);
 
     hierarchy_.setListener(&fpga_);
+    fpga_.setCpuCaches(&hierarchy_);
     fpga_.setTraceSession(&trace_);
     fpga_.setEvictionCallback(
         [this](const FMemCache::Victim &victim, SimClock &clock) {
@@ -158,7 +159,7 @@ KonaRuntime::attachCoherence(DirectoryService &directory)
 {
     KONA_ASSERT(agent_ == nullptr, "coherence already attached");
     agent_ = std::make_unique<CoherenceAgent>(
-        directory, computeNode_, fpga_, hierarchy_, evictor_,
+        directory, computeNode_, fpga_, evictor_,
         config_.retry, scope_.sub("coherence"));
     coherenceDir_ = &directory;
     directory.attachPeer(computeNode_, *agent_);

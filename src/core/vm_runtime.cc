@@ -12,7 +12,7 @@ VmRuntime::VmRuntime(Fabric &fabric, Controller &controller,
       computeNode_(computeNode), config_(config),
       scope_(std::move(scope)),
       hierarchy_(config.hierarchy, scope_.sub("hierarchy")),
-      cmem_(config.windowBase + config.windowSize),
+      cmem_(config.localCachePages * pageSize),
       windowCursor_(config.windowBase), poller_(fabric.latency()),
       rdmaBuffer_(pageSize),
       reads_(scope_.counter("reads")),
@@ -30,6 +30,10 @@ VmRuntime::VmRuntime(Fabric &fabric, Controller &controller,
       majorFaultNs_(scope_.histogram("major_fault_ns"))
 {
     KONA_ASSERT(config.localCachePages > 0, "empty local cache");
+    // Hand frames out lowest first.
+    freeFrames_.reserve(config.localCachePages);
+    for (Addr f = config.localCachePages; f > 0; --f)
+        freeFrames_.push_back(f - 1);
 
     const LatencyConfig &lat = fabric_.latency();
     double levels[3] = {lat.l1HitNs, lat.l2HitNs, lat.l3HitNs};
@@ -92,7 +96,7 @@ VmRuntime::mapNewSlab()
     Addr firstVpn = pageNumber(windowCursor_);
     Addr pages = slabSize / pageSize;
     for (Addr i = 0; i < pages; ++i) {
-        pageTable_.map(firstVpn + i, firstVpn + i, true);
+        pageTable_.map(firstVpn + i, invalidAddr, true);
         pageTable_.markNotPresent(firstVpn + i);
     }
 
@@ -211,11 +215,13 @@ VmRuntime::majorFault(Addr vpn)
         }
         retry.backoff(appClock_);
     }
-    cmem_.write(vpn * pageSize, rdmaBuffer_.data(), pageSize);
+    Addr frame = freeFrames_.back();
+    freeFrames_.pop_back();
+    cmem_.write(frame * pageSize, rdmaBuffer_.data(), pageSize);
 
     // Install the translation; with dirty tracking enabled the page
     // comes up write-protected so the first store minor-faults.
-    pageTable_.map(vpn, vpn, !config_.writeProtectTracking);
+    pageTable_.map(vpn, frame, !config_.writeProtectTracking);
     if (config_.writeProtectTracking)
         pageTable_.writeProtect(vpn);
     appClock_.advance(static_cast<Tick>(lat.pteUpdateNs));
@@ -345,7 +351,7 @@ VmRuntime::evictOne()
     appClock_.advance(static_cast<Tick>(lat.tlbShootdownNs +
                                         lat.pteUpdateNs));
 
-    cmem_.dropPage(vpn * pageSize);
+    freeFrames_.push_back(pte->physPage);
     pagesEvicted_.add();
 }
 
@@ -365,7 +371,7 @@ VmRuntime::writebackPage(Addr vpn, SimClock &clock)
     clock.advance(static_cast<Tick>(
         lat.copySetupNs +
         static_cast<double>(pageSize) * lat.copyPerKbNs / 1024.0));
-    cmem_.read(vpn * pageSize, rdmaBuffer_.data(), pageSize);
+    cmem_.read(frameAddr(vpn * pageSize), rdmaBuffer_.data(), pageSize);
 
     // Write to every reachable copy; if the whole placement is
     // misbehaving, back off and retry rather than dying on a transient
@@ -413,6 +419,15 @@ VmRuntime::writebackPage(Addr vpn, SimClock &clock)
     clock.advanceTo(maxEnd);
 }
 
+Addr
+VmRuntime::frameAddr(Addr addr) const
+{
+    const PageTableEntry *pte = pageTable_.entry(pageNumber(addr));
+    KONA_ASSERT(pte != nullptr && pte->present,
+                "local-cache access to non-resident address ", addr);
+    return pte->physPage * pageSize + addr % pageSize;
+}
+
 void
 VmRuntime::read(Addr addr, void *buf, std::size_t size)
 {
@@ -433,7 +448,13 @@ VmRuntime::read(Addr addr, void *buf, std::size_t size)
         }
     }
 
-    cmem_.read(addr, buf, size);
+    auto *out = static_cast<std::uint8_t *>(buf);
+    for (std::size_t done = 0; done < size;) {
+        std::size_t chunk = std::min(size - done,
+                                     pageSize - (addr + done) % pageSize);
+        cmem_.read(frameAddr(addr + done), out + done, chunk);
+        done += chunk;
+    }
     reads_.add();
     bytesRead_.add(size);
     if (sampler_ != nullptr)
@@ -460,7 +481,13 @@ VmRuntime::write(Addr addr, const void *buf, std::size_t size)
         }
     }
 
-    cmem_.write(addr, buf, size);
+    const auto *in = static_cast<const std::uint8_t *>(buf);
+    for (std::size_t done = 0; done < size;) {
+        std::size_t chunk = std::min(size - done,
+                                     pageSize - (addr + done) % pageSize);
+        cmem_.write(frameAddr(addr + done), in + done, chunk);
+        done += chunk;
+    }
     writes_.add();
     bytesWritten_.add(size);
     if (sampler_ != nullptr)

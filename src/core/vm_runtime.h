@@ -5,7 +5,8 @@
  * It implements the three remote-memory operations the way Infiniswap,
  * LegoOS and Kona-VM do:
  *  - fetch: first touch of a non-present page raises a major fault;
- *    the handler RDMA-reads the page into the local DRAM cache. The
+ *    the handler RDMA-reads the page into a free frame of the local
+ *    DRAM cache and points the PTE's physPage at that frame. The
  *    personality's measured end-to-end fault latency (40us Infiniswap,
  *    10us LegoOS, 10.5us userfaultfd Kona-VM) is charged to the app.
  *  - track: pages are mapped read-only after fetch; the first write
@@ -129,6 +130,9 @@ class VmRuntime : public RemoteMemoryRuntime
     /** Write page @p vpn back to every remote copy. */
     void writebackPage(Addr vpn, SimClock &clock);
 
+    /** Local-cache address of resident virtual address @p addr. */
+    Addr frameAddr(Addr addr) const;
+
     /** Move @p vpn to the MRU position. */
     void touchLru(Addr vpn);
 
@@ -147,7 +151,10 @@ class VmRuntime : public RemoteMemoryRuntime
     CacheHierarchy hierarchy_;
     PageTable pageTable_;
     Tlb tlb_;
-    BackingStore cmem_;            ///< local DRAM cache (by vaddr)
+    /** Local DRAM cache: localCachePages frames, addressed by
+     *  frame * pageSize (a present PTE's physPage names the frame). */
+    BackingStore cmem_;
+    std::vector<Addr> freeFrames_;
     RemoteTranslation translation_;
 
     std::unique_ptr<RegionAllocator> heap_;

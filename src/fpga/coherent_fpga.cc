@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "common/logging.h"
 #include "policy/tiering_engine.h"
@@ -14,7 +15,8 @@ CoherentFpga::CoherentFpga(Fabric &fabric, NodeId computeNode,
       scope_(std::move(scope)),
       fmem_(config.fmemSize, config.fmemAssociativity,
             scope_.sub("fmem"), config.victimPolicy),
-      fmemStore_(config.fmemSize), poller_(fabric.latency()),
+      fmemStore_(config.fmemSize), snoopFilter_(fmem_.frames(), 0),
+      poller_(fabric.latency()),
       prefetcher_(makePrefetcher(config.prefetchPolicy)),
       prefetchQueue_(config.prefetchQueueCapacity),
       prefetchCredits_(config.prefetchCreditRefillNs,
@@ -87,9 +89,11 @@ CoherentFpga::serveLine(Addr lineAddr, AccessType type, SimClock &clock)
                           static_cast<Tick>(lat.vfmemDirectoryNs));
 
     Addr vpn = pageNumber(lineAddr);
+    const std::uint64_t lineBit = std::uint64_t{1} << lineInPage(lineAddr);
     if (tiering_ != nullptr)
         tiering_->observe(vpn, clock.now());
-    if (fmem_.lookup(vpn).has_value()) {
+    if (auto frame = fmem_.lookup(vpn)) {
+        snoopFilter_[*frame] |= lineBit;
         clock.advance(static_cast<Tick>(lat.fmemNs));
         if (missAttr_ != nullptr)
             missAttr_->charge(MissComponent::FmemCheck,
@@ -129,6 +133,7 @@ CoherentFpga::serveLine(Addr lineAddr, AccessType type, SimClock &clock)
         return ServeStatus::RemoteUnavailable;
     }
     fetchNs_.record(static_cast<double>(clock.now() - fetchStart));
+    snoopFilter_[*fmem_.frameOf(vpn)] |= lineBit;
     clock.advance(static_cast<Tick>(lat.fmemNs));
     if (missAttr_ != nullptr)
         missAttr_->charge(MissComponent::FmemCheck,
@@ -485,8 +490,23 @@ CoherentFpga::writeBytes(Addr vfmemAddr, const void *buf,
 }
 
 void
+CoherentFpga::snoopPage(Addr vpn)
+{
+    auto frame = fmem_.frameOf(vpn);
+    if (!frame.has_value())
+        return;
+    std::uint64_t lines = std::exchange(snoopFilter_[*frame], 0);
+    if (lines != 0 && cpuCaches_ != nullptr)
+        cpuCaches_->snoopLines(vpn, lines);
+}
+
+void
 CoherentFpga::dropPage(Addr vpn)
 {
+    // A line left cached past the drop would hit without reaching
+    // serveLine(), so the page would never be fetched back. The snoop
+    // also leaves the frame's filter clear for its next page.
+    snoopPage(vpn);
     // A page leaving FMem with its speculative tag intact was never
     // demand-touched: the fill was wasted bandwidth, attributed to
     // whichever engine issued it.

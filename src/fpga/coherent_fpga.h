@@ -16,9 +16,11 @@
  *
  * Functional data: the authoritative bytes of a resident VFMem page
  * live in the FMem backing store; non-resident pages live on their
- * memory node. The runtime keeps the invariant that any line in CPU
- * caches belongs to a resident page (eviction snoops the page first),
- * so reads/writes can always be applied to FMem.
+ * memory node. Any line in the CPU caches belongs to a resident page,
+ * so reads/writes can always be applied to FMem: every line enters the
+ * caches through serveLine(), which records it in the frame's snoop
+ * filter, and no page leaves FMem before snoopPage() has pulled the
+ * filter's lines back out of the caches.
  */
 
 #ifndef KONA_FPGA_COHERENT_FPGA_H
@@ -206,8 +208,34 @@ class CoherentFpga : public MemorySideListener
     }
 
     /**
+     * Attach the CPU cache hierarchy this FPGA snoops (nullptr
+     * detaches). Without one, snoops only clear the filter.
+     */
+    void setCpuCaches(CacheHierarchy *caches) { cpuCaches_ = caches; }
+
+    /**
+     * Snoop filter of resident page @p vpn: the lines serveLine() has
+     * handed to the CPU caches since the page was last snooped (0 when
+     * the page is absent). A superset of the lines the caches hold.
+     */
+    std::uint64_t snoopFilter(Addr vpn) const
+    {
+        auto frame = fmem_.frameOf(vpn);
+        return frame.has_value() ? snoopFilter_[*frame] : 0;
+    }
+
+    /**
+     * Snoop page @p vpn out of the CPU caches (§4.4): flush the lines
+     * its snoop filter names, in ascending order, and clear the filter.
+     * Dirty lines reach the dirty bitmap through onWriteback(). No-op
+     * when the page is absent.
+     */
+    void snoopPage(Addr vpn);
+
+    /**
      * Remove a page from FMem (its frame becomes free). The caller has
-     * already written dirty lines back.
+     * already written dirty lines back; the page's remaining (clean)
+     * lines are snooped out of the CPU caches first.
      */
     void dropPage(Addr vpn);
 
@@ -459,6 +487,10 @@ class CoherentFpga : public MemorySideListener
     MetricScope scope_;
     FMemCache fmem_;
     BackingStore fmemStore_;
+    /** Per FMem frame: lines served to the CPU caches since the
+     *  frame's page was last snooped (bit i = line i). */
+    std::vector<std::uint64_t> snoopFilter_;
+    CacheHierarchy *cpuCaches_ = nullptr;
     RemoteTranslation translation_;
     DirtyLineBitmap dirtyLines_;
     EvictionCallback evictionCallback_;

@@ -6,7 +6,8 @@
 
 namespace kona {
 
-BackingStore::BackingStore(std::size_t capacity) : capacity_(capacity)
+BackingStore::BackingStore(std::size_t capacity)
+    : capacity_(capacity), pages_((capacity + pageSize - 1) / pageSize)
 {
     KONA_ASSERT(capacity > 0, "empty backing store");
 }
@@ -14,14 +15,12 @@ BackingStore::BackingStore(std::size_t capacity) : capacity_(capacity)
 std::uint8_t *
 BackingStore::pageFor(Addr addr)
 {
-    Addr pn = pageNumber(addr);
-    auto it = pages_.find(pn);
-    if (it == pages_.end()) {
-        auto page = std::make_unique<std::uint8_t[]>(pageSize);
-        std::memset(page.get(), 0, pageSize);
-        it = pages_.emplace(pn, std::move(page)).first;
+    std::unique_ptr<std::uint8_t[]> &page = pages_[pageNumber(addr)];
+    if (page == nullptr) {
+        page = std::make_unique<std::uint8_t[]>(pageSize);   // zeroed
+        ++materialized_;
     }
-    return it->second.get();
+    return page.get();
 }
 
 void
@@ -33,13 +32,11 @@ BackingStore::read(Addr addr, void *buf, std::size_t size)
     while (size > 0) {
         std::size_t offset = addr % pageSize;
         std::size_t chunk = std::min(size, pageSize - offset);
-        Addr pn = pageNumber(addr);
-        auto it = pages_.find(pn);
-        if (it == pages_.end()) {
+        const std::uint8_t *page = pages_[pageNumber(addr)].get();
+        if (page == nullptr)
             std::memset(out, 0, chunk);   // untouched pages read as zero
-        } else {
-            std::memcpy(out, it->second.get() + offset, chunk);
-        }
+        else
+            std::memcpy(out, page + offset, chunk);
         addr += chunk;
         out += chunk;
         size -= chunk;
@@ -67,12 +64,6 @@ BackingStore::pagePointer(Addr addr)
 {
     KONA_ASSERT(addr < capacity_, "pagePointer past end");
     return pageFor(addr) + (addr % pageSize);
-}
-
-bool
-BackingStore::pageResident(Addr addr) const
-{
-    return pages_.count(pageNumber(addr)) != 0;
 }
 
 } // namespace kona

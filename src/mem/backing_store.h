@@ -2,16 +2,17 @@
  * @file
  * BackingStore: a flat, sparsely populated simulated DRAM.
  *
- * Pages are materialized on first touch so that multi-GB simulated
- * address spaces cost only what is actually used. This models both CMem
- * on the compute node and the DRAM of memory nodes.
+ * A table with one slot per page of capacity points at that page's
+ * bytes; pages are heap-allocated on first write, so a store costs
+ * 8 bytes per page of capacity plus the pages actually used. This
+ * models the FMem frames on the FPGA, the VM baselines' local frame
+ * cache and the DRAM of memory nodes.
  */
 
 #ifndef KONA_MEM_BACKING_STORE_H
 #define KONA_MEM_BACKING_STORE_H
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -32,7 +33,7 @@ class BackingStore : public MemoryInterface
     std::size_t capacity() const { return capacity_; }
 
     /** Number of pages materialized so far (resident footprint). */
-    std::size_t residentPages() const { return pages_.size(); }
+    std::size_t residentPages() const { return materialized_; }
 
     /**
      * Direct pointer to the byte backing @p addr, materializing the
@@ -42,16 +43,19 @@ class BackingStore : public MemoryInterface
     std::uint8_t *pagePointer(Addr addr);
 
     /** Whether the page containing @p addr has been materialized. */
-    bool pageResident(Addr addr) const;
-
-    /** Discard the page containing @p addr (reads as zero afterwards). */
-    void dropPage(Addr addr) { pages_.erase(pageNumber(addr)); }
+    bool pageResident(Addr addr) const
+    {
+        Addr pn = pageNumber(addr);
+        return pn < pages_.size() && pages_[pn] != nullptr;
+    }
 
   private:
     std::uint8_t *pageFor(Addr addr);
 
     std::size_t capacity_;
-    std::unordered_map<Addr, std::unique_ptr<std::uint8_t[]>> pages_;
+    /** Page number -> its bytes; null until the page is first written. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> pages_;
+    std::size_t materialized_ = 0;
 };
 
 } // namespace kona

@@ -121,22 +121,22 @@ TEST(SetAssocCache, LargeBlockGeometry)
               CacheOutcome::Miss);
 }
 
-TEST(SetAssocCache, HoldsLineOfPageProbe)
+TEST(SetAssocCache, ForEachBlockVisitsEveryValidWay)
 {
-    // Full-size L2-like geometry: 1024 sets, so page 7's 64 lines map
-    // to 64 distinct sets.
-    SetAssocCache cache(tinyCache(1024, 16));
+    SetAssocCache cache(tinyCache(4, 2));
     CacheEviction ev;
-    EXPECT_FALSE(cache.holdsLineOfPage(7));
-    cache.access(7 * pageSize + 9 * cacheLineSize, AccessType::Read,
-                 ev);
-    EXPECT_TRUE(cache.holdsLineOfPage(7));
-    EXPECT_FALSE(cache.holdsLineOfPage(6));
-    EXPECT_FALSE(cache.holdsLineOfPage(8));
-    cache.invalidateBlock(7 * pageSize + 9 * cacheLineSize);
-    EXPECT_FALSE(cache.holdsLineOfPage(7));
-    // Probing must not disturb LRU order or counters.
-    EXPECT_EQ(cache.accesses(), 1u);
+    cache.access(0, AccessType::Read, ev);
+    cache.access(64, AccessType::Write, ev);
+    cache.access(4 * 64, AccessType::Read, ev);   // set 0, second way
+    std::vector<std::pair<Addr, bool>> seen;
+    cache.forEachBlock(
+        [&seen](Addr block, bool dirty) { seen.emplace_back(block, dirty); });
+    // Set by set, MRU first within a set.
+    std::vector<std::pair<Addr, bool>> want = {
+        {4 * 64, false}, {0, false}, {64, true}};
+    EXPECT_EQ(seen, want);
+    // Visiting must not disturb LRU order or counters.
+    EXPECT_EQ(cache.accesses(), 3u);
 }
 
 TEST(SetAssocCache, FlushAllEmitsEverything)
@@ -313,6 +313,27 @@ TEST(Hierarchy, SnoopPageCoversAllLines)
     hier.access(base + 4032, 8, AccessType::Write);
     hier.snoopPage(5);
     EXPECT_EQ(log.writebacks.size(), 3u);
+}
+
+TEST(Hierarchy, SnoopLinesFlushesOnlyMaskedLines)
+{
+    CacheHierarchy hier;
+    EventLog log;
+    hier.setListener(&log);
+    Addr base = 5 * pageSize;
+    for (Addr line : {3, 9, 40})
+        hier.access(base + line * cacheLineSize, 8, AccessType::Write);
+    // Lines 40, 17 (absent) and 9; writebacks come back in ascending
+    // line order and line 3 stays cached.
+    hier.snoopLines(5, (1ULL << 40) | (1ULL << 17) | (1ULL << 9));
+    ASSERT_EQ(log.writebacks.size(), 2u);
+    EXPECT_EQ(log.writebacks[0], base + 9 * cacheLineSize);
+    EXPECT_EQ(log.writebacks[1], base + 40 * cacheLineSize);
+    log.requests.clear();
+    hier.access(base + 3 * cacheLineSize, 8, AccessType::Read);
+    EXPECT_TRUE(log.requests.empty());
+    hier.access(base + 9 * cacheLineSize, 8, AccessType::Read);
+    EXPECT_EQ(log.requests.size(), 1u);
 }
 
 TEST(Hierarchy, MultiLineAccessSplits)

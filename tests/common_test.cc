@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit tests for src/common: types/geometry helpers, logging error
- * types, the deterministic RNG, the Zipf generator and the statistics
- * primitives.
+ * types, the deterministic RNG, the Zipf generator, the statistics
+ * primitives and the CRC32 checksum.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "common/checksum.h"
 #include "common/latency.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -292,6 +296,66 @@ TEST(Latency, PersonalityLatencies)
     // FMem is slower than CMem but in the same order of magnitude.
     EXPECT_GT(lat.fmemNs, lat.cmemNs);
     EXPECT_LT(lat.fmemNs, 2.0 * lat.cmemNs);
+}
+
+/** Bit-at-a-time CRC32 over the reflected 0xEDB88320 polynomial. */
+std::uint32_t
+bitwiseCrc32(const std::uint8_t *data, std::size_t len,
+             std::uint32_t seed = 0)
+{
+    std::uint32_t c = ~seed;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+    }
+    return ~c;
+}
+
+TEST(Crc32, StandardCheckValue)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(crc32(check, std::strlen(check)), 0xcbf43926u);
+    EXPECT_EQ(crc32(check, 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtAnyLengthAndOffset)
+{
+    // Lengths 0..4097 cover the byte tail, every residue mod 8 and a
+    // full page plus one; offsets 0..7 misalign the eight-byte steps.
+    Rng rng(0xc3c32ull);
+    std::vector<std::uint8_t> buf(4097 + 8);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (int i = 0; i < 2000; ++i) {
+        std::size_t len = i < 64 ? static_cast<std::size_t>(i)
+                                 : rng.below(4098);
+        std::size_t offset = rng.below(8);
+        const std::uint8_t *p = buf.data() + offset;
+        ASSERT_EQ(crc32(p, len), bitwiseCrc32(p, len))
+            << "len " << len << " offset " << offset;
+    }
+}
+
+TEST(Crc32, ChainedSeedsEqualOneStream)
+{
+    Rng rng(0x5eedc4cull);
+    std::vector<std::uint8_t> buf(3 * 4096);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (int i = 0; i < 500; ++i) {
+        std::size_t a = rng.below(4097);
+        std::size_t b = rng.below(4097);
+        std::size_t c = rng.below(4097);
+        const std::uint8_t *p = buf.data();
+        std::uint32_t chained = crc32(p, a);
+        chained = crc32(p + a, b, chained);
+        chained = crc32(p + a + b, c, chained);
+        ASSERT_EQ(chained, crc32(p, a + b + c))
+            << a << "+" << b << "+" << c;
+        ASSERT_EQ(chained, bitwiseCrc32(p + a + b, c,
+                                        bitwiseCrc32(p, a + b)));
+    }
 }
 
 } // namespace

@@ -5,8 +5,8 @@
  * (final remote bytes at depth N match the synchronous depth-1 engine,
  * including under injected drops and corruption), out-of-order batch
  * completion across nodes, NAK-retransmit of an in-flight ring slot,
- * the write-to-in-flight-page refetch fence, and ring-full
- * backpressure.
+ * the write-to-in-flight-page refetch fence, the snoop of lines read
+ * while a page was in flight, and ring-full backpressure.
  */
 
 #include <gtest/gtest.h>
@@ -274,6 +274,31 @@ TEST(AsyncEviction, SubmitOfInflightPageStallsThenShipsFreshData)
     rig.handler().drain(clock);
     EXPECT_EQ(rig.remoteValue(0, 0), AsyncRig::expected(0, 0));
     EXPECT_EQ(rig.remoteValue(0, 3), 42u);
+}
+
+TEST(AsyncEviction, LineReadWhileInflightLeavesCachesWithPage)
+{
+    // A read of a page whose log is on the wire hits in FMem and puts
+    // the line in the CPU caches. When the shipment lands the page
+    // drops, and the line must leave the caches with it: a cached line
+    // of a dropped page hits without reaching the FPGA, so the page is
+    // never fetched back.
+    AsyncRig rig(4);
+    rig.runtime->store<std::uint64_t>(rig.region, 11);
+    SimClock clock;
+    rig.handler().submit({rig.vpns(0, 1)}, clock);
+    ASSERT_TRUE(rig.runtime->fpga().evictionInFlight(rig.vpn(0)));
+
+    Addr other = rig.region + 5 * cacheLineSize;
+    EXPECT_EQ(rig.runtime->load<std::uint64_t>(other), 0u);
+    rig.handler().drain(clock);
+    EXPECT_FALSE(rig.runtime->fpga().pageResident(rig.vpn(0)));
+
+    std::uint64_t again = 1;
+    ASSERT_NO_THROW(again = rig.runtime->load<std::uint64_t>(other));
+    EXPECT_EQ(again, 0u);
+    EXPECT_TRUE(rig.runtime->fpga().pageResident(rig.vpn(0)));
+    EXPECT_EQ(rig.runtime->load<std::uint64_t>(rig.region), 11u);
 }
 
 // ---------------------------------------------------------------------

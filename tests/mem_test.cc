@@ -64,17 +64,6 @@ TEST(BackingStore, OutOfBoundsIsFatal)
     EXPECT_THROW(store.write(pageSize - 1, &b, 2), PanicError);
 }
 
-TEST(BackingStore, DropPageForgetsData)
-{
-    BackingStore store(1 * MiB);
-    std::uint32_t value = 0xdeadbeef;
-    store.write(0, &value, sizeof(value));
-    store.dropPage(0);
-    std::uint32_t out = 1;
-    store.read(0, &out, sizeof(out));
-    EXPECT_EQ(out, 0u);
-}
-
 TEST(PageTable, MapTranslateUnmap)
 {
     PageTable pt;
