@@ -233,7 +233,7 @@ runChaosScenario(const ChaosScenario &scenario,
     report.shipAttrTotalNs = ship.totalNs();
     report.shipAttrOtherNs = ship.componentNs(EvictComponent::Other);
     report.reliability = runtime.reliability();
-    report.hedgedReads = runtime.fpga().hedgedReads();
+    report.hedgedReads = runtime.fpga().replicas().hedgedReads();
     report.prefetchReplicaFallbacks =
         runtime.fpga().prefetchReplicaFallbacks();
     report.evacuateDrainStalls =

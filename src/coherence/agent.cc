@@ -73,7 +73,7 @@ CoherenceAgent::acquire(Addr vpn, std::uint64_t bit, bool exclusive,
             // these homes miss lines, so fetches must skip them and
             // the next eviction must freshen them.
             for (const StaleHomeReport &s : r.staleHomes) {
-                fpga_.markStaleHome(vpn, s.node, s.mask);
+                fpga_.replicas().markStale(vpn, s.node, s.mask);
                 staleSeeds_.add();
             }
             LocalPage &page = pages_[vpn];
@@ -110,7 +110,8 @@ CoherenceAgent::onInvalidate(Addr vpn, SimClock &clock)
     // the async eviction pipeline and drop the frame. The drop hook
     // fires onPageDropped -> directory release reentrantly.
     fpga_.snoopPage(vpn);
-    std::uint64_t mask = fpga_.dirtyMask(vpn) | fpga_.staleLines(vpn);
+    std::uint64_t mask =
+        fpga_.dirtyMask(vpn) | fpga_.replicas().staleLines(vpn);
     bool released = evictor_.flushPage(vpn, clock);
 
     if (mask != 0)
@@ -126,15 +127,9 @@ CoherenceAgent::onPageDropped(Addr vpn)
         return;
 
     std::vector<StaleHomeReport> staleView;
-    if (const auto *homes = fpga_.staleHomesOf(vpn)) {
-        staleView.reserve(homes->size());
+    if (const auto *homes = fpga_.replicas().staleHomesOf(vpn)) {
         for (const auto &[home, mask] : *homes)
             staleView.push_back({home, mask});
-        // Deterministic order regardless of hash-map iteration.
-        std::sort(staleView.begin(), staleView.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.node < b.node;
-                  });
     }
     directory_.release(node_, vpn, it->second.touched, staleView);
     pages_.erase(it);

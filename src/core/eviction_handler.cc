@@ -49,7 +49,7 @@ EvictionHandler::EvictionHandler(Fabric &fabric, CoherentFpga &fpga,
     : fabric_(fabric), fpga_(fpga), controller_(controller),
       config_(config), scope_(std::move(scope)),
       retryPolicy_(config.retry.value_or(RetryPolicy{})),
-      poller_(fabric.latency()),
+      poller_(fabric.latency()), qps_(fabric, fpga.nodeId(), cq_, scope_),
       trace_(config.trace),
       pagesEvicted_(scope_.counter("pages_evicted")),
       silent_(scope_.counter("silent_evictions")),
@@ -83,20 +83,6 @@ EvictionHandler::ringFor(NodeId node)
         ring.owner.assign(ring.slots, 0);
     }
     return it->second;
-}
-
-QueuePair &
-EvictionHandler::qpTo(NodeId node)
-{
-    auto it = qps_.find(node);
-    if (it == qps_.end()) {
-        it = qps_.emplace(node,
-                          std::make_unique<QueuePair>(
-                              fabric_, fpga_.nodeId(), node, cq_,
-                              scope_.sub("qp" + std::to_string(node))))
-                 .first;
-    }
-    return *it->second;
 }
 
 std::size_t
@@ -219,7 +205,7 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
             // Stale lines ride along: a copy that missed an earlier
             // shipment is freshened by the next eviction of the page.
             std::uint64_t mask = fpga_.dirtyMask(vpn) |
-                                 fpga_.staleLines(vpn);
+                                 fpga_.replicas().staleLines(vpn);
             if (mask == 0) {
                 fpga_.dropPage(vpn);
                 silent_.add();
@@ -257,8 +243,6 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
     double copyCost = 0.0;
     for (const PackedPage &page : batch.pages) {
         const std::uint8_t *frame = fpga_.framePointer(page.vpn);
-        auto copies = fpga_.translation().translateAll(page.vpn *
-                                                       pageSize);
         LineRuns runs;
         std::size_t runCount = runsOf(page.mask, runs);
 
@@ -280,7 +264,9 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
                             lat.copyPerKbNs / 1024.0;
         }
 
-        for (const RemoteLocation &loc : copies) {
+        const CopySet copies = fpga_.replicas().copies(page.vpn);
+        for (std::size_t i = 0; i < copies.size(); ++i) {
+            const RemoteLocation loc = copies[i];
             batch.homes[page.vpn].push_back(loc.node);
             NodePayload &payload = perNode[loc.node];
             if (config_.mode == EvictionMode::ClLog) {
@@ -337,10 +323,8 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
     // slot. Only slot acquisition can block the caller (counted); the
     // wire, unpack and ack proceed on each shipment's own timeline.
     for (auto &[nodeId, payload] : perNode) {
-        if (fabric_.nodeDown(nodeId)) {
-            controller_.reportOpFailure(nodeId);
+        if (!fpga_.replicas().reachable(nodeId))
             continue;
-        }
 
         NodeRing &ring = ringFor(nodeId);
         auto freeSlot = [&ring]() -> int {
@@ -428,13 +412,13 @@ EvictionHandler::postShipment(Shipment &s)
                         static_cast<Addr>(s.slot) * ring.slotBytes;
         wr.length = s.log.size();
         wrOwner_[wr.wrId] = &s;
-        PostResult posted = qpTo(s.node).post(wr, s.timeline);
+        PostResult posted = qps_.to(s.node).post(wr, s.timeline);
         KONA_ASSERT(posted.cqesPushed == 1,
                     "eviction post must push exactly one CQE");
     } else {
         for (const WorkRequest &wr : s.chain)
             wrOwner_[wr.wrId] = &s;
-        PostResult posted = qpTo(s.node).postLinked(s.chain,
+        PostResult posted = qps_.to(s.node).postLinked(s.chain,
                                                     s.timeline);
         KONA_ASSERT(posted.cqesPushed == 1,
                     "eviction doorbell must push exactly one CQE");
@@ -610,30 +594,14 @@ EvictionHandler::finalizeBatch(Batch &batch)
     for (const PackedPage &page : batch.pages) {
         fpga_.setEvictionInFlight(page.vpn, false);
         inflightPage_.erase(page.vpn);
-        bool safe = false;
-        for (NodeId home : batch.homes[page.vpn]) {
-            bool reached = false;
-            for (NodeId ok : batch.reached)
-                reached |= home == ok;
-            if (reached) {
-                safe = true;
-                // The shipped mask included every previously-stale
-                // line of the page, so this copy is fresh again.
-                fpga_.clearStaleHome(page.vpn, home);
-            } else if (!fabric_.nodeDown(home) &&
-                       controller_.health(home) != NodeHealth::Failed) {
-                // A dead home is fine to miss: the rebuild re-copies
-                // it from a survivor. A *live* home that missed
-                // (retries exhausted against a gray-failing link) now
-                // holds stale bytes — mark the copy so reads skip it
-                // and the page's next eviction re-ships these lines.
-                fpga_.markStaleHome(page.vpn, home, page.mask);
+        bool safe = fpga_.replicas().settle(
+            page.vpn, batch.homes[page.vpn], batch.reached, page.mask,
+            [&](NodeId home) {
                 staleMarks_.add();
                 if (config_.journal != nullptr)
                     config_.journal->record(JournalKind::StaleHomeMark,
                                             home, page.vpn, page.mask);
-            }
-        }
+            });
         if (!safe) {
             warn("eviction of page ", page.vpn,
                  " failed: all replicas down; keeping it resident");

@@ -213,7 +213,6 @@ class EvictionHandler
 
     // --- configuration ------------------------------------------------
 
-    const EvictionConfig &evictionConfig() const { return config_; }
     EvictionMode mode() const { return config_.mode; }
 
     /**
@@ -224,8 +223,6 @@ class EvictionHandler
      * depth bump). Default endpoint = sequential mode, zero overhead.
      */
     void setGateEndpoint(const GateEndpoint &ep) { gate_ = ep; }
-    std::size_t pipelineDepth() const { return config_.pipelineDepth; }
-    const RetryPolicy &retryPolicy() const { return retryPolicy_; }
 
     // --- statistics ---------------------------------------------------
 
@@ -335,7 +332,6 @@ class EvictionHandler
     };
 
     NodeRing &ringFor(NodeId node);
-    QueuePair &qpTo(NodeId node);
 
     /** Largest batch whose worst-case log fits every node's ring slot. */
     std::size_t batchPageLimit() const;
@@ -394,7 +390,7 @@ class EvictionHandler
 
     CompletionQueue cq_;
     Poller poller_;
-    std::map<NodeId, std::unique_ptr<QueuePair>> qps_;
+    QueuePairs qps_;
     std::map<NodeId, NodeRing> rings_;
 
     std::list<Shipment> shipments_;

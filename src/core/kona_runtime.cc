@@ -35,7 +35,8 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
       // Per-runtime metric namespace: several runtimes can share one
       // registry (multi-compute-node racks) without colliding.
       scope_(scope.sub("cn" + std::to_string(computeNode))),
-      fpga_(fabric, computeNode, config.fpga, scope_.sub("fpga")),
+      fpga_(fabric, computeNode, config.fpga, scope_.sub("fpga"),
+            &controller),
       hierarchy_(config.hierarchy, scope_.sub("hierarchy")),
       evictor_(fabric, fpga_, controller,
                resolvedEvictionConfig(config, trace_, journal_),
@@ -67,26 +68,6 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
         [this](const FMemCache::Victim &victim, SimClock &clock) {
             evictor_.evictPage(victim.vfmemPage, clock);
         });
-    // Every fetch-path observation feeds the Controller's failure
-    // detector (fail-stop) and its EWMA health scorer (gray failure):
-    // enough consecutive failures declare the node dead and
-    // checkRackHealth() triggers the rebuild; a drifting latency or
-    // badness EWMA moves the node through Suspect/Quarantined instead.
-    fpga_.setHealthReporter([this](NodeId node, bool ok,
-                                   Tick latencyNs) {
-        if (ok) {
-            controller_.reportOpSuccess(node);
-            controller_.observeFetch(node, latencyNs);
-        } else {
-            controller_.reportOpFailure(node);
-        }
-    });
-    // Reads hedge away from nodes the membership state machine says
-    // to avoid (Suspect/Quarantined/Joining), even though the fabric
-    // still reaches them.
-    fpga_.setMembershipProbe([this](NodeId node) {
-        return controller_.avoidForReads(node);
-    });
 
     // Hot/cold tiering: an EWMA heat map over the VFMem window, fed
     // by the FPGA's access stream and pumped on the eviction cadence.

@@ -267,7 +267,7 @@ class KonaRuntime : public RemoteMemoryRuntime
     std::uint64_t
     totalPromotions() const
     {
-        return fpga_.replicaPromotions() + rebuildPromotions_.value();
+        return fpga_.replicas().promotions() + rebuildPromotions_.value();
     }
     /** Simulate the hierarchy + FPGA path for one access. */
     void simulateAccess(Addr addr, std::size_t size, AccessType type);

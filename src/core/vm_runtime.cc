@@ -13,7 +13,9 @@ VmRuntime::VmRuntime(Fabric &fabric, Controller &controller,
       scope_(std::move(scope)),
       hierarchy_(config.hierarchy, scope_.sub("hierarchy")),
       cmem_(config.localCachePages * pageSize),
+      replicas_(fabric, &controller, translation_, scope_),
       windowCursor_(config.windowBase), poller_(fabric.latency()),
+      qps_(fabric, computeNode, cq_, scope_),
       rdmaBuffer_(pageSize),
       reads_(scope_.counter("reads")),
       writes_(scope_.counter("writes")),
@@ -26,7 +28,6 @@ VmRuntime::VmRuntime(Fabric &fabric, Controller &controller,
       silentEvictions_(scope_.counter("silent_evictions")),
       wireBytes_(scope_.counter("bytes_on_wire")),
       retries_(scope_.counter("fault_retries")),
-      promotions_(scope_.counter("replica_promotions")),
       majorFaultNs_(scope_.histogram("major_fault_ns"))
 {
     KONA_ASSERT(config.localCachePages > 0, "empty local cache");
@@ -58,20 +59,6 @@ VmRuntime::name() const
       case VmPersonality::Infiniswap: return "Infiniswap";
     }
     return "VM";
-}
-
-QueuePair &
-VmRuntime::qpTo(NodeId node)
-{
-    auto it = qps_.find(node);
-    if (it == qps_.end()) {
-        it = qps_.emplace(node,
-                          std::make_unique<QueuePair>(
-                              fabric_, computeNode_, node, cq_,
-                              scope_.sub("qp" + std::to_string(node))))
-                 .first;
-    }
-    return *it->second;
 }
 
 void
@@ -163,52 +150,14 @@ VmRuntime::majorFault(Addr vpn)
     appClock_.advance(static_cast<Tick>(
         remoteFetchNs(lat, config_.personality)));
 
-    // Fetch from the primary, fail over to replicas, and back off and
-    // retry when every copy is misbehaving. A replica is promoted only
-    // when every earlier copy sits on a node that is actually down —
-    // a transient drop should not reshuffle the placement.
+    // When every copy is misbehaving, back off and retry.
     SimClock scratch;
     RetryState retry(config_.retry, retrySeed_++);
     retry.bindTelemetry(&retries_, nullptr);
-    bool fetched = false;
-    while (!fetched) {
-        auto copies = translation_.translateAll(vpn * pageSize);
-        for (std::size_t i = 0; i < copies.size() && !fetched; ++i) {
-            const RemoteLocation &loc = copies[i];
-            if (fabric_.nodeDown(loc.node)) {
-                controller_.reportOpFailure(loc.node);
-                continue;
-            }
-            WorkRequest wr;
-            wr.wrId = nextWrId_++;
-            wr.opcode = RdmaOpcode::Read;
-            wr.localBuf = rdmaBuffer_.data();
-            wr.remoteKey = loc.regionKey;
-            wr.remoteAddr = loc.addr;
-            wr.length = pageSize;
-            PostResult posted = qpTo(loc.node).post(wr, scratch);
-            if (!posted.ok()) {
-                poller_.drain(cq_, scratch, posted.cqesPushed);
-                controller_.reportOpFailure(loc.node);
-                continue;
-            }
-            poller_.waitOne(cq_, scratch);
-            controller_.reportOpSuccess(loc.node);
-            if (i > 0) {
-                bool earlierAllDown = true;
-                for (std::size_t j = 0; j < i; ++j)
-                    earlierAllDown &= fabric_.nodeDown(copies[j].node);
-                if (earlierAllDown) {
-                    translation_.promoteReplica(vpn * pageSize, i - 1);
-                    promotions_.add();
-                    warn(name(), ": failed over page ", vpn,
-                         " to node ", loc.node);
-                }
-            }
-            fetched = true;
-        }
-        if (fetched)
-            break;
+    auto readCopy = [&](const RemoteLocation &loc) {
+        return transferPage(RdmaOpcode::Read, loc, scratch);
+    };
+    while (!replicas_.read(vpn, ReadIntent::Demand, readCopy)) {
         if (!retry.shouldRetry()) {
             fatal("remote memory unreachable for page ", vpn,
                   ": every copy is down or failing");
@@ -326,7 +275,10 @@ VmRuntime::evictOne()
     KONA_ASSERT(pte != nullptr && pte->present, "LRU page not mapped");
 
     // Without write-protect tracking, every page must be assumed dirty.
-    bool dirty = config_.writeProtectTracking ? pte->dirty : true;
+    // A clean page with a stale home is written back too, so the copy
+    // that missed an earlier writeback freshens.
+    bool dirty = (config_.writeProtectTracking ? pte->dirty : true) ||
+                 replicas_.staleLines(vpn) != 0;
 
     if (dirty) {
         SimClock &evClock = config_.backgroundEviction
@@ -373,50 +325,52 @@ VmRuntime::writebackPage(Addr vpn, SimClock &clock)
         static_cast<double>(pageSize) * lat.copyPerKbNs / 1024.0));
     cmem_.read(frameAddr(vpn * pageSize), rdmaBuffer_.data(), pageSize);
 
-    // Write to every reachable copy; if the whole placement is
-    // misbehaving, back off and retry rather than dying on a transient
-    // outage. Idempotent page writes make the replay safe.
+    // Every copy is written in parallel on its own branch of the clock.
+    // If none lands, back off and retry rather than dying on a
+    // transient outage: idempotent page writes make the replay safe.
     RetryState retry(config_.retry, retrySeed_++);
     retry.bindTelemetry(&retries_, nullptr);
-    Tick maxEnd = clock.now();
-    for (;;) {
-        auto copies = translation_.translateAll(vpn * pageSize);
-        Tick start = clock.now();
-        maxEnd = start;
-        bool any = false;
-        for (const RemoteLocation &loc : copies) {
-            if (fabric_.nodeDown(loc.node)) {
-                controller_.reportOpFailure(loc.node);
-                continue;
-            }
-            SimClock branch;
-            branch.advanceTo(start);
-            WorkRequest wr;
-            wr.wrId = nextWrId_++;
-            wr.opcode = RdmaOpcode::Write;
-            wr.localBuf = rdmaBuffer_.data();
-            wr.remoteKey = loc.regionKey;
-            wr.remoteAddr = loc.addr;
-            wr.length = pageSize;
-            PostResult posted = qpTo(loc.node).post(wr, branch);
-            if (!posted.ok()) {
-                poller_.drain(cq_, branch, posted.cqesPushed);
-                controller_.reportOpFailure(loc.node);
-                continue;
-            }
-            poller_.waitOne(cq_, branch);
-            controller_.reportOpSuccess(loc.node);
+    Tick start = clock.now();
+    Tick end = start;
+    auto writeCopy = [&](const RemoteLocation &loc) {
+        SimClock branch;
+        branch.advanceTo(start);
+        std::optional<Tick> latency =
+            transferPage(RdmaOpcode::Write, loc, branch);
+        if (latency.has_value()) {
             wireBytes_.add(pageSize);
-            maxEnd = std::max(maxEnd, branch.now());
-            any = true;
+            end = std::max(end, branch.now());
         }
-        if (any)
-            break;
+        return latency;
+    };
+    while (!replicas_.write(vpn, ~std::uint64_t{0}, writeCopy)) {
         if (!retry.shouldRetry())
             fatal("page writeback failed: all replicas unreachable");
         retry.backoff(clock);
+        start = end = clock.now();
     }
-    clock.advanceTo(maxEnd);
+    clock.advanceTo(end);
+}
+
+std::optional<Tick>
+VmRuntime::transferPage(RdmaOpcode opcode, const RemoteLocation &loc,
+                        SimClock &clock)
+{
+    WorkRequest wr;
+    wr.wrId = nextWrId_++;
+    wr.opcode = opcode;
+    wr.localBuf = rdmaBuffer_.data();
+    wr.remoteKey = loc.regionKey;
+    wr.remoteAddr = loc.addr;
+    wr.length = pageSize;
+    Tick start = clock.now();
+    PostResult posted = qps_.to(loc.node).post(wr, clock);
+    if (!posted.ok()) {
+        poller_.drain(cq_, clock, posted.cqesPushed);
+        return std::nullopt;
+    }
+    poller_.waitOne(cq_, clock);
+    return clock.now() - start;
 }
 
 Addr
@@ -523,7 +477,7 @@ VmRuntime::stats() const
     s.silentEvictions = silentEvictions_.value();
     s.evictionBytesOnWire = wireBytes_.value();
     s.retries = retries_.value();
-    s.replicaPromotions = promotions_.value();
+    s.replicaPromotions = replicas_.promotions();
     return s;
 }
 

@@ -37,6 +37,7 @@
 #include "net/queue_pair.h"
 #include "net/retry_policy.h"
 #include "rack/controller.h"
+#include "rack/replica_walker.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace_session.h"
 
@@ -98,8 +99,11 @@ class VmRuntime : public RemoteMemoryRuntime
     std::uint64_t faultRetries() const { return retries_.value(); }
     std::uint64_t replicaPromotions() const
     {
-        return promotions_.value();
+        return replicas_.promotions();
     }
+
+    /** Where each slab of the window lives in the rack. */
+    const RemoteTranslation &translation() const { return translation_; }
 
     TraceSession *traceSession() override { return &trace_; }
 
@@ -130,6 +134,12 @@ class VmRuntime : public RemoteMemoryRuntime
     /** Write page @p vpn back to every remote copy. */
     void writebackPage(Addr vpn, SimClock &clock);
 
+    /** Move one page between rdmaBuffer_ and copy @p loc on @p clock;
+     *  @return the op's latency, or nullopt when it failed. */
+    std::optional<Tick> transferPage(RdmaOpcode opcode,
+                                     const RemoteLocation &loc,
+                                     SimClock &clock);
+
     /** Local-cache address of resident virtual address @p addr. */
     Addr frameAddr(Addr addr) const;
 
@@ -138,8 +148,6 @@ class VmRuntime : public RemoteMemoryRuntime
 
     void mapNewSlab();
     void ensureHeap(std::size_t need);
-
-    QueuePair &qpTo(NodeId node);
 
     Fabric &fabric_;
     Controller &controller_;
@@ -156,6 +164,7 @@ class VmRuntime : public RemoteMemoryRuntime
     BackingStore cmem_;
     std::vector<Addr> freeFrames_;
     RemoteTranslation translation_;
+    ReplicaWalker replicas_;
 
     std::unique_ptr<RegionAllocator> heap_;
     Addr windowCursor_;
@@ -166,7 +175,7 @@ class VmRuntime : public RemoteMemoryRuntime
 
     CompletionQueue cq_;
     Poller poller_;
-    std::unordered_map<NodeId, std::unique_ptr<QueuePair>> qps_;
+    QueuePairs qps_;
     std::vector<std::uint8_t> rdmaBuffer_;
 
     SimClock appClock_;
@@ -185,7 +194,6 @@ class VmRuntime : public RemoteMemoryRuntime
     Counter &silentEvictions_;
     Counter &wireBytes_;
     Counter &retries_;
-    Counter &promotions_;
     LatencyHistogram &majorFaultNs_;
     std::uint64_t nextWrId_ = 0x20000000;
     std::uint64_t retrySeed_ = 0x76edULL;

@@ -10,13 +10,15 @@
 namespace kona {
 
 CoherentFpga::CoherentFpga(Fabric &fabric, NodeId computeNode,
-                           const FpgaConfig &config, MetricScope scope)
+                           const FpgaConfig &config, MetricScope scope,
+                           Controller *controller)
     : fabric_(fabric), computeNode_(computeNode), config_(config),
       scope_(std::move(scope)),
       fmem_(config.fmemSize, config.fmemAssociativity,
             scope_.sub("fmem"), config.victimPolicy),
       fmemStore_(config.fmemSize), snoopFilter_(fmem_.frames(), 0),
-      poller_(fabric.latency()),
+      replicas_(fabric, controller, translation_, scope_),
+      poller_(fabric.latency()), qps_(fabric, computeNode, cq_, scope_),
       prefetcher_(makePrefetcher(config.prefetchPolicy)),
       prefetchQueue_(config.prefetchQueueCapacity),
       prefetchCredits_(config.prefetchCreditRefillNs,
@@ -25,11 +27,8 @@ CoherentFpga::CoherentFpga(Fabric &fabric, NodeId computeNode,
       demandFetches_(scope_.counter("demand_fetches")),
       writebacksObserved_(scope_.counter("writebacks_observed")),
       fetchFailures_(scope_.counter("fetch_failures")),
-      promotions_(scope_.counter("replica_promotions")),
-      hedgedReads_(scope_.counter("hedged_reads")),
       prefetchReplicaFallback_(
           scope_.counter("prefetch.replica_fallback")),
-      staleSkips_(scope_.counter("stale_home_skips")),
       prefetchPredicted_(scope_.counter("prefetch.predicted")),
       prefetchIssued_(scope_.counter("prefetch.issued")),
       prefetchUseful_(scope_.counter("prefetch.useful")),
@@ -58,20 +57,6 @@ CoherentFpga::CoherentFpga(Fabric &fabric, NodeId computeNode,
     // configured policy declares wantsDirty().
     fmem_.setDirtyProbe(
         [this](Addr vpn) { return dirtyLines_.pageMask(vpn) != 0; });
-}
-
-QueuePair &
-CoherentFpga::qpTo(NodeId node)
-{
-    auto it = qps_.find(node);
-    if (it == qps_.end()) {
-        it = qps_.emplace(node,
-                          std::make_unique<QueuePair>(
-                              fabric_, computeNode_, node, cq_,
-                              scope_.sub("qp" + std::to_string(node))))
-                 .first;
-    }
-    return *it->second;
 }
 
 ServeStatus
@@ -164,81 +149,17 @@ CoherentFpga::noteDemandTouch(Addr vpn, SimClock &clock)
         prefetcher_->onPrefetchUseful(vpn);
 }
 
-void
-CoherentFpga::reportHealth(NodeId node, bool ok, Tick latencyNs)
-{
-    if (healthReporter_)
-        healthReporter_(node, ok, latencyNs);
-}
-
-void
-CoherentFpga::markStaleHome(Addr vpn, NodeId node, std::uint64_t mask)
-{
-    staleHomes_[vpn][node] |= mask;
-}
-
-void
-CoherentFpga::clearStaleHome(Addr vpn, NodeId node)
-{
-    auto it = staleHomes_.find(vpn);
-    if (it == staleHomes_.end())
-        return;
-    it->second.erase(node);
-    if (it->second.empty())
-        staleHomes_.erase(it);
-}
-
-std::uint64_t
-CoherentFpga::staleLines(Addr vpn) const
-{
-    auto it = staleHomes_.find(vpn);
-    if (it == staleHomes_.end())
-        return 0;
-    std::uint64_t mask = 0;
-    for (const auto &[node, lines] : it->second)
-        mask |= lines;
-    return mask;
-}
-
 bool
-CoherentFpga::homeStale(Addr vpn, NodeId node) const
-{
-    auto it = staleHomes_.find(vpn);
-    return it != staleHomes_.end() && it->second.count(node) > 0;
-}
-
-std::vector<std::size_t>
-CoherentFpga::fetchOrder(
-    const std::vector<RemoteLocation> &locations) const
-{
-    std::vector<std::size_t> order(locations.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    if (!membershipProbe_)
-        return order;
-    // Stable partition: preferred nodes first, original order within
-    // each class (so the primary still leads among healthy copies and
-    // promotion logic keyed on original indices stays meaningful).
-    std::stable_partition(order.begin(), order.end(),
-                          [this, &locations](std::size_t i) {
-                              return !membershipProbe_(
-                                  locations[i].node);
-                          });
-    return order;
-}
-
-bool
-CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FetchIntent intent,
+CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FillOrigin origin,
                         Tick issueTick)
 {
     // Cross-shard section: the fetch posts on the fabric, reads node
     // health/liveness, and feeds the Controller's failure detector.
     ShardSection section(gate_, GateEvent::Fetch);
 
-    Addr vfmemAddr = vpn * pageSize;
     std::array<std::uint8_t, pageSize> staging;
-    bool prefetch = intent == FetchIntent::Prefetch;
-    bool speculative = intent != FetchIntent::Demand;
+    bool prefetch = origin == FillOrigin::Prefetch;
+    bool speculative = origin != FillOrigin::Demand;
 
     // Prefetches run on the background clock; put their spans on the
     // background lane so the app-critical-path lane stays truthful.
@@ -249,35 +170,12 @@ CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FetchIntent intent,
     span.arg("vpn", vpn);
     if (prefetch)
         span.arg("intent", "prefetch");
-    else if (intent == FetchIntent::Tier)
+    else if (origin == FillOrigin::Tier)
         span.arg("intent", "tier");
 
-    // Both intents walk all copies, hedged away from nodes the
-    // membership probe says to avoid. A speculative fetch still never
-    // promotes, warns, or retries — but it does report failures (gray
-    // nodes must accumulate evidence even off the critical path) and
-    // falls back to a replica instead of giving up.
-    auto locations = translation_.translateAll(vfmemAddr);
-    std::vector<std::size_t> order = fetchOrder(locations);
-    bool fetched = false;
-    std::size_t servedBy = 0;   ///< original index of the copy served
-    for (std::size_t k = 0; k < order.size(); ++k) {
-        std::size_t i = order[k];
-        const RemoteLocation &loc = locations[i];
-        if (homeStale(vpn, loc.node)) {
-            // This copy missed an eviction shipment; its bytes are
-            // stale until the next eviction freshens them. The node
-            // itself is fine, so no health evidence.
-            staleSkips_.add();
-            continue;
-        }
-        if (fabric_.nodeDown(loc.node)) {
-            // Skipping a down node is itself evidence for the failure
-            // detector; without it a dead primary would never attract
-            // op reports at all.
-            reportHealth(loc.node, false);
-            continue;
-        }
+    // One RDMA read of one copy into the staging page; the walker
+    // picks the copies and turns each outcome into health evidence.
+    auto readCopy = [&](const RemoteLocation &loc) -> std::optional<Tick> {
         WorkRequest wr;
         wr.wrId = nextWrId_++;
         wr.opcode = RdmaOpcode::Read;
@@ -289,7 +187,7 @@ CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FetchIntent intent,
         rdma.arg("node", loc.node);
         rdma.arg("bytes", wr.length);
         Tick opStart = clock.now();
-        PostResult posted = qpTo(loc.node).post(wr, clock);
+        PostResult posted = qps_.to(loc.node).post(wr, clock);
         const Tick postDone = clock.now();
         if (!speculative && missAttr_ != nullptr)
             missAttr_->charge(MissComponent::Queueing,
@@ -300,57 +198,25 @@ CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FetchIntent intent,
             if (!speculative && missAttr_ != nullptr)
                 missAttr_->charge(MissComponent::Retry,
                                   clock.now() - postDone);
-            reportHealth(loc.node, false);
-            continue;
+            return std::nullopt;
         }
         poller_.waitOne(cq_, clock);
         if (!speculative && missAttr_ != nullptr)
             missAttr_->charge(MissComponent::Wire,
                               clock.now() - postDone);
-        reportHealth(loc.node, true, clock.now() - opStart);
-        if (!speculative && i > 0) {
-            // Promote the replica we read from only when every
-            // earlier copy sits on a node that is actually down
-            // (§4.5). A transient drop or a hedge away from a merely
-            // Suspect primary must not reshuffle the placement — the
-            // primary gets another chance once it recovers.
-            bool earlierAllDown = true;
-            for (std::size_t j = 0; j < i; ++j)
-                earlierAllDown &= fabric_.nodeDown(locations[j].node);
-            if (earlierAllDown) {
-                translation_.promoteReplica(vfmemAddr, i - 1);
-                promotions_.add();
-                warn("failed over VFMem page ", vpn, " to node ",
-                     loc.node);
-            }
-        }
-        fetched = true;
-        servedBy = i;
-        break;
-    }
-    if (!fetched) {
+        return clock.now() - opStart;
+    };
+    std::optional<std::size_t> copy = replicas_.read(
+        vpn, speculative ? ReadIntent::Speculative : ReadIntent::Demand,
+        readCopy);
+    if (!copy.has_value()) {
         if (prefetch)
             prefetchDroppedNodeDown_.add();
         return false;
     }
-    if (servedBy != 0) {
-        if (prefetch)
-            prefetchReplicaFallback_.add();
-        else if (!speculative &&
-                 !fabric_.nodeDown(locations[0].node) &&
-                 membershipProbe_ &&
-                 membershipProbe_(locations[0].node)) {
-            // The primary was alive but its membership state said to
-            // avoid it: this read was hedged, not failed over.
-            hedgedReads_.add();
-        }
-    }
+    if (prefetch && *copy != 0)
+        prefetchReplicaFallback_.add();
 
-    FillOrigin origin = FillOrigin::Demand;
-    if (intent == FetchIntent::Prefetch)
-        origin = FillOrigin::Prefetch;
-    else if (intent == FetchIntent::Tier)
-        origin = FillOrigin::Tier;
     std::size_t frame = fmem_.insert(vpn, origin, issueTick);
     fmemStore_.write(static_cast<Addr>(frame) * pageSize, staging.data(),
                      pageSize);
@@ -372,7 +238,7 @@ CoherentFpga::tierPromote(Addr vpn, Tick issueTick)
         return false;   // promoting would bypass the rights check
     if (fmem_.victimFor(vpn).has_value())
         return false;   // promotion never evicts: set is full
-    return fetchPage(vpn, backgroundClock_, FetchIntent::Tier,
+    return fetchPage(vpn, backgroundClock_, FillOrigin::Tier,
                      issueTick);
 }
 
@@ -421,7 +287,7 @@ CoherentFpga::maybePrefetch(Addr vpn, bool demandMiss, SimClock &clock)
         if (!prefetchCredits_.tryConsume())
             break;   // out of budget; leftovers are dropped next time
         prefetchQueue_.pop();
-        if (fetchPage(c, backgroundClock_, FetchIntent::Prefetch,
+        if (fetchPage(c, backgroundClock_, FillOrigin::Prefetch,
                       clock.now())) {
             ++issued;
         }

@@ -41,6 +41,7 @@
 #include "net/shard_gate.h"
 #include "prefetch/prefetch_queue.h"
 #include "prefetch/prefetcher.h"
+#include "rack/replica_walker.h"
 #include "telemetry/attribution.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace_session.h"
@@ -119,9 +120,12 @@ class CoherentFpga : public MemorySideListener
      * @param config Geometry and features.
      * @param scope Telemetry scope; the FMem tag store registers under
      *              "<scope>.fmem", QPs under "<scope>.qp<node>".
+     * @param controller Receives fetch health evidence and steers
+     *              reads (nullptr: report nothing, hedge nothing).
      */
     CoherentFpga(Fabric &fabric, NodeId computeNode,
-                 const FpgaConfig &config, MetricScope scope = {});
+                 const FpgaConfig &config, MetricScope scope = {},
+                 Controller *controller = nullptr);
 
     const FpgaConfig &config() const { return config_; }
 
@@ -136,6 +140,10 @@ class CoherentFpga : public MemorySideListener
     /** The Resource Manager's view of the translation map. */
     RemoteTranslation &translation() { return translation_; }
     const RemoteTranslation &translation() const { return translation_; }
+
+    /** Copy selection and stale-home state over translation(). */
+    ReplicaWalker &replicas() { return replicas_; }
+    const ReplicaWalker &replicas() const { return replicas_; }
 
     /**
      * Eviction callback: invoked when a fetch needs a frame in a full
@@ -256,32 +264,6 @@ class CoherentFpga : public MemorySideListener
     std::uint8_t *framePointer(Addr vpn);
 
     /**
-     * Observer of per-node op outcomes on the fetch path. KonaRuntime
-     * wires this to the Controller's failure detector and health
-     * scorer so that skipped or failing nodes accumulate evidence
-     * toward a Failed verdict and slow nodes toward Suspect.
-     * @p latencyNs is the observed op latency (0 on failure).
-     */
-    using HealthReporter =
-        std::function<void(NodeId, bool ok, Tick latencyNs)>;
-    void setHealthReporter(HealthReporter reporter)
-    {
-        healthReporter_ = std::move(reporter);
-    }
-
-    /**
-     * Membership probe consulted per candidate location on the fetch
-     * path: return true when reads should prefer another replica over
-     * the node (Suspect/Quarantined/Joining). KonaRuntime wires this
-     * to Controller::avoidForReads; unset means no hedging.
-     */
-    using MembershipProbe = std::function<bool(NodeId)>;
-    void setMembershipProbe(MembershipProbe probe)
-    {
-        membershipProbe_ = std::move(probe);
-    }
-
-    /**
      * Hook invoked after a page leaves FMem for any reason (capacity
      * eviction, silent drop, coherence invalidation). The coherence
      * agent uses it to release directory rights exactly when residency
@@ -325,53 +307,6 @@ class CoherentFpga : public MemorySideListener
      */
     bool tierPromote(Addr vpn, Tick issueTick);
 
-    // --- stale-copy tracking -----------------------------------------
-    //
-    // When an eviction shipment permanently fails against a *live*
-    // home (gray link, retries exhausted), the page is still dropped —
-    // at least one fresh copy landed — but the missed copy is stale
-    // for the shipped lines. The eviction handler records that here;
-    // reads skip stale homes, and the page's next eviction re-ships
-    // the union of its dirty and stale lines so the copy freshens.
-
-    /** Copy of @p vpn on @p node missed lines in @p mask. */
-    void markStaleHome(Addr vpn, NodeId node, std::uint64_t mask);
-
-    /** A shipment to @p node landed; its copy of @p vpn is fresh. */
-    void clearStaleHome(Addr vpn, NodeId node);
-
-    /** Union of lines any home of @p vpn is missing (0 = none). */
-    std::uint64_t staleLines(Addr vpn) const;
-
-    /** Whether @p node's copy of @p vpn must not serve reads. */
-    bool homeStale(Addr vpn, NodeId node) const;
-
-    /**
-     * Per-home missed-line masks of @p vpn, or nullptr when no home is
-     * stale. The coherence agent reports this view to the directory at
-     * release time so the next holder inherits it.
-     */
-    const std::unordered_map<NodeId, std::uint64_t> *
-    staleHomesOf(Addr vpn) const
-    {
-        auto it = staleHomes_.find(vpn);
-        return it == staleHomes_.end() ? nullptr : &it->second;
-    }
-
-    /** Pages with at least one stale home right now. */
-    std::size_t stalePages() const { return staleHomes_.size(); }
-
-    /** Reads that skipped a live node because its copy was stale. */
-    std::uint64_t staleHomeSkips() const
-    {
-        return staleSkips_.value();
-    }
-
-    /** Queue pair to memory node @p node (created on first use). */
-    QueuePair &qpTo(NodeId node);
-    CompletionQueue &cq() { return cq_; }
-    Poller &poller() { return poller_; }
-
     /** This compute host's id on the fabric. */
     NodeId nodeId() const { return computeNode_; }
 
@@ -380,7 +315,6 @@ class CoherentFpga : public MemorySideListener
 
     FMemCache &fmem() { return fmem_; }
     const FMemCache &fmem() const { return fmem_; }
-    const DirtyLineBitmap &dirtyBitmap() const { return dirtyLines_; }
 
     // Statistics.
     std::uint64_t remoteFetches() const { return remoteFetches_.value(); }
@@ -393,10 +327,6 @@ class CoherentFpga : public MemorySideListener
     }
     std::uint64_t prefetches() const { return prefetchIssued_.value(); }
     std::uint64_t fetchFailures() const { return fetchFailures_.value(); }
-    std::uint64_t replicaPromotions() const { return promotions_.value(); }
-    /** Demand reads served by a replica because the primary's
-     *  membership state said to avoid it (no promotion involved). */
-    std::uint64_t hedgedReads() const { return hedgedReads_.value(); }
     /** Prefetches served by a replica after the primary was down. */
     std::uint64_t prefetchReplicaFallbacks() const
     {
@@ -440,27 +370,17 @@ class CoherentFpga : public MemorySideListener
     }
 
   private:
-    /** Who a page fetch is for; controls failover and accounting. */
-    enum class FetchIntent : std::uint8_t
-    {
-        Demand,    ///< critical path: full replica failover + health
-        Prefetch,  ///< speculative: replica fallback, no promotion
-        Tier,      ///< tiering promotion: like Prefetch, attributed
-                   ///< to tier.* instead of prefetch.*
-    };
-
     /**
-     * Bring VFMem page @p vpn into FMem. Assumes a free way exists.
-     * Demand fetches walk the replica failover path (hedging away
-     * from Suspect/Quarantined primaries via the membership probe)
-     * and feed the failure detector; prefetch fetches also fall back
-     * to replicas and report failures to the health scorer, but never
-     * promote, warn, or retry. @p issueTick stamps prefetched frames
-     * for timeliness attribution.
+     * Bring VFMem page @p vpn into FMem through the replica walker,
+     * filling the frame as @p origin. Assumes a free way exists.
+     * Prefetch and tier fetches fall back to replicas and report
+     * evidence like demand fetches, but never promote; only demand
+     * fetches charge miss attribution. @p issueTick stamps speculative
+     * frames for timeliness attribution.
      * @return false when the page could not be fetched.
      */
     bool fetchPage(Addr vpn, SimClock &clock,
-                   FetchIntent intent = FetchIntent::Demand,
+                   FillOrigin origin = FillOrigin::Demand,
                    Tick issueTick = 0);
 
     /**
@@ -474,13 +394,6 @@ class CoherentFpga : public MemorySideListener
     /** First-touch attribution of a resident page (useful prefetch). */
     void noteDemandTouch(Addr vpn, SimClock &clock);
 
-    void reportHealth(NodeId node, bool ok, Tick latencyNs = 0);
-
-    /** Candidate iteration order: healthy locations first (stable), so
-     *  reads hedge away from Suspect/Quarantined/Joining primaries. */
-    std::vector<std::size_t>
-    fetchOrder(const std::vector<RemoteLocation> &locations) const;
-
     Fabric &fabric_;
     NodeId computeNode_;
     FpgaConfig config_;
@@ -492,22 +405,16 @@ class CoherentFpga : public MemorySideListener
     std::vector<std::uint64_t> snoopFilter_;
     CacheHierarchy *cpuCaches_ = nullptr;
     RemoteTranslation translation_;
+    ReplicaWalker replicas_;
     DirtyLineBitmap dirtyLines_;
     EvictionCallback evictionCallback_;
-    HealthReporter healthReporter_;
-    MembershipProbe membershipProbe_;
     DropHook dropHook_;
     PageGovernor pageGovernor_;
     TieringEngine *tiering_ = nullptr;
 
-    /** vpn -> (home node -> missed-line mask). Almost always empty. */
-    std::unordered_map<Addr,
-                       std::unordered_map<NodeId, std::uint64_t>>
-        staleHomes_;
-
     CompletionQueue cq_;
     Poller poller_;
-    std::unordered_map<NodeId, std::unique_ptr<QueuePair>> qps_;
+    QueuePairs qps_;
 
     SimClock backgroundClock_;
     GateEndpoint gate_;
@@ -525,10 +432,7 @@ class CoherentFpga : public MemorySideListener
     Counter &demandFetches_;
     Counter &writebacksObserved_;
     Counter &fetchFailures_;
-    Counter &promotions_;
-    Counter &hedgedReads_;
     Counter &prefetchReplicaFallback_;
-    Counter &staleSkips_;
     Counter &prefetchPredicted_;
     Counter &prefetchIssued_;
     Counter &prefetchUseful_;

@@ -3,8 +3,9 @@
  * RemoteTranslation: the shared-memory hashmap of §4.4 recording, for
  * each VFMem slab, where its bytes live in the rack. The Resource
  * Manager populates it on allocation; the FPGA only consults it when
- * fetching or writing back. Slabs may carry replicas (§4.5): eviction
- * writes to every copy, fetches read the primary and fail over.
+ * fetching or writing back. Slabs may carry replicas (§4.5); which copy
+ * a read or write goes to is decided by the ReplicaWalker
+ * (rack/replica_walker.h), which enumerates them through copies().
  */
 
 #ifndef KONA_FPGA_REMOTE_TRANSLATION_H
@@ -42,6 +43,26 @@ struct MappedSlab
     bool shared = false;
 };
 
+/**
+ * Every copy of one VFMem address, primary first, then replicas: a
+ * view over the slab's placement, so enumerating it never allocates.
+ * Valid until the placement changes.
+ */
+struct CopySet
+{
+    const MappedSlab *slab;
+    Addr delta;   ///< offset of the address within its slab
+
+    std::size_t size() const { return 1 + slab->replicas.size(); }
+
+    RemoteLocation
+    operator[](std::size_t i) const
+    {
+        const SlabGrant &g = i == 0 ? slab->primary : slab->replicas[i - 1];
+        return {g.where.node, g.where.offset + delta, g.regionKey};
+    }
+};
+
 /** VFMem slab base -> placement map with range lookup. */
 class RemoteTranslation
 {
@@ -59,20 +80,12 @@ class RemoteTranslation
         slabs_[vfmemBase] = {primary, std::move(replicas), shared};
     }
 
-    /** Remove the slab starting at @p vfmemBase. */
-    void
-    removeSlab(Addr vfmemBase)
-    {
-        KONA_ASSERT(slabs_.erase(vfmemBase) == 1,
-                    "unknown slab at VFMem ", vfmemBase);
-    }
-
     /** Promote replica @p index of the slab covering @p vfmemAddr to
      *  primary (fail-over after a memory-node loss). */
     void
     promoteReplica(Addr vfmemAddr, std::size_t index)
     {
-        MappedSlab &slab = slabRef(vfmemAddr);
+        MappedSlab &slab = slabs_[vfmemAddr - copies(vfmemAddr).delta];
         KONA_ASSERT(index < slab.replicas.size(), "no such replica");
         std::swap(slab.primary, slab.replicas[index]);
     }
@@ -81,38 +94,23 @@ class RemoteTranslation
     RemoteLocation
     translate(Addr vfmemAddr) const
     {
-        const auto &[base, slab] = slabAt(vfmemAddr);
-        Addr delta = vfmemAddr - base;
-        return {slab.primary.where.node,
-                slab.primary.where.offset + delta,
-                slab.primary.regionKey};
+        return copies(vfmemAddr)[0];
     }
 
-    /** Translate to every copy: primary first, then replicas. */
-    std::vector<RemoteLocation>
-    translateAll(Addr vfmemAddr) const
+    /** Every copy of one VFMem address: primary first, then replicas. */
+    CopySet
+    copies(Addr vfmemAddr) const
     {
-        const auto &[base, slab] = slabAt(vfmemAddr);
-        Addr delta = vfmemAddr - base;
-        std::vector<RemoteLocation> out;
-        out.push_back({slab.primary.where.node,
-                       slab.primary.where.offset + delta,
-                       slab.primary.regionKey});
-        for (const SlabGrant &r : slab.replicas) {
-            out.push_back({r.where.node, r.where.offset + delta,
-                           r.regionKey});
-        }
-        return out;
+        auto it = find(vfmemAddr);
+        if (it == slabs_.end())
+            fatal("VFMem address ", vfmemAddr, " not backed by a slab");
+        return {&it->second, vfmemAddr - it->first};
     }
 
     bool
     mapped(Addr vfmemAddr) const
     {
-        auto it = slabs_.upper_bound(vfmemAddr);
-        if (it == slabs_.begin())
-            return false;
-        --it;
-        return vfmemAddr - it->first < it->second.primary.size;
+        return find(vfmemAddr) != slabs_.end();
     }
 
     std::size_t slabCount() const { return slabs_.size(); }
@@ -132,27 +130,17 @@ class RemoteTranslation
     }
 
   private:
-    std::pair<Addr, const MappedSlab &>
-    slabAt(Addr vfmemAddr) const
+    /** The slab covering @p vfmemAddr, or slabs_.end(). */
+    std::map<Addr, MappedSlab>::const_iterator
+    find(Addr vfmemAddr) const
     {
         auto it = slabs_.upper_bound(vfmemAddr);
         if (it == slabs_.begin())
-            fatal("VFMem address ", vfmemAddr, " below all slabs");
+            return slabs_.end();
         --it;
-        if (vfmemAddr - it->first >= it->second.primary.size)
-            fatal("VFMem address ", vfmemAddr, " not backed by a slab");
-        return {it->first, it->second};
-    }
-
-    MappedSlab &
-    slabRef(Addr vfmemAddr)
-    {
-        auto it = slabs_.upper_bound(vfmemAddr);
-        KONA_ASSERT(it != slabs_.begin(), "unmapped VFMem address");
-        --it;
-        KONA_ASSERT(vfmemAddr - it->first < it->second.primary.size,
-                    "unmapped VFMem address");
-        return it->second;
+        return vfmemAddr - it->first < it->second.primary.size
+                   ? it
+                   : slabs_.end();
     }
 
     std::map<Addr, MappedSlab> slabs_;

@@ -5,6 +5,18 @@
 
 namespace kona {
 
+QueuePair &
+QueuePairs::to(NodeId node)
+{
+    std::unique_ptr<QueuePair> &qp = qps_[node];
+    if (qp == nullptr) {
+        qp = std::make_unique<QueuePair>(
+            fabric_, localNode_, node, cq_,
+            scope_.sub("qp" + std::to_string(node)));
+    }
+    return *qp;
+}
+
 WorkCompletion
 CompletionQueue::pop()
 {
@@ -169,13 +181,13 @@ Poller::complete(const WorkCompletion &wc, SimClock &clock)
     clock.advance(static_cast<Tick>(latency_.rdmaCompletionNs));
 }
 
-std::vector<WorkCompletion>
+std::size_t
 Poller::drain(CompletionQueue &cq, SimClock &clock, std::size_t max)
 {
-    std::vector<WorkCompletion> out;
-    while (!cq.empty() && out.size() < max)
-        out.push_back(waitOne(cq, clock));
-    return out;
+    std::size_t consumed = 0;
+    for (; consumed < max && !cq.empty(); ++consumed)
+        waitOne(cq, clock);
+    return consumed;
 }
 
 } // namespace kona

@@ -15,7 +15,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "common/sim_clock.h"
@@ -155,6 +157,29 @@ class QueuePair
  * Poller: drains completion queues, charging polling overhead and
  * advancing the caller past CQE timestamps (the KLib Poller component).
  */
+/** One QueuePair per remote node, created on first use; all of them
+ *  complete into one CompletionQueue. */
+class QueuePairs
+{
+  public:
+    /** Each QP registers its metrics under "<scope>.qp<node>". */
+    QueuePairs(Fabric &fabric, NodeId localNode, CompletionQueue &cq,
+               MetricScope scope)
+        : fabric_(fabric), localNode_(localNode), cq_(cq),
+          scope_(std::move(scope))
+    {}
+
+    /** The queue pair to @p node. */
+    QueuePair &to(NodeId node);
+
+  private:
+    Fabric &fabric_;
+    NodeId localNode_;
+    CompletionQueue &cq_;
+    MetricScope scope_;
+    std::unordered_map<NodeId, std::unique_ptr<QueuePair>> qps_;
+};
+
 class Poller
 {
   public:
@@ -173,10 +198,9 @@ class Poller
      */
     void complete(const WorkCompletion &wc, SimClock &clock);
 
-    /** Drain up to @p max CQEs without blocking semantics. */
-    std::vector<WorkCompletion> drain(CompletionQueue &cq,
-                                      SimClock &clock,
-                                      std::size_t max = ~std::size_t(0));
+    /** Consume up to @p max pending CQEs; @return how many. */
+    std::size_t drain(CompletionQueue &cq, SimClock &clock,
+                      std::size_t max = ~std::size_t(0));
 
   private:
     const LatencyConfig &latency_;

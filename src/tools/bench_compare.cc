@@ -306,7 +306,8 @@ compareMetrics(const std::map<std::string, double> &baseline,
         CompareFinding f;
         f.key = key;
         f.baseline = baseValue;
-        f.rule = rule;
+        f.direction = rule->direction;
+        f.failTol = rule->failTol;
         auto it = current.find(key);
         if (it == current.end()) {
             f.status = CompareStatus::Missing;
@@ -337,7 +338,8 @@ compareMetrics(const std::map<std::string, double> &baseline,
         CompareFinding f;
         f.key = key;
         f.current = value;
-        f.rule = rule;
+        f.direction = rule->direction;
+        f.failTol = rule->failTol;
         f.status = CompareStatus::Missing;
         ++report.failed;
         report.findings.push_back(std::move(f));
@@ -363,12 +365,8 @@ printCompareReport(std::ostream &os, const CompareReport &report,
             char delta[64];
             std::snprintf(delta, sizeof(delta), "%+.1f%%",
                           f.relDelta * 100.0);
-            os << " (" << delta << ", "
-               << directionName(f.rule != nullptr
-                                    ? f.rule->direction
-                                    : CompareDirection::Band)
-               << " tol "
-               << (f.rule != nullptr ? f.rule->failTol : 0.0) << ")";
+            os << " (" << delta << ", " << directionName(f.direction)
+               << " tol " << f.failTol << ")";
         }
         os << "\n";
     }

@@ -92,7 +92,9 @@ struct CompareFinding
     double current = 0.0;
     double relDelta = 0.0; ///< (current - baseline) / |baseline|
     CompareStatus status = CompareStatus::Pass;
-    const CompareRule *rule = nullptr;
+    /** Copied from the matching rule: a report outlives its rules. */
+    CompareDirection direction = CompareDirection::Band;
+    double failTol = 0.0;
 };
 
 /** Everything one comparison produced. */

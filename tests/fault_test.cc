@@ -18,6 +18,7 @@
 
 #include "common/rng.h"
 #include "core/kona_runtime.h"
+#include "core/vm_runtime.h"
 #include "net/fault_injector.h"
 #include "net/retry_policy.h"
 #include "workloads/registry.h"
@@ -803,6 +804,147 @@ TEST_F(TransientFaultFixture, DifferentialMatchesFaultFreeOracle)
     EXPECT_GT(r.retries + r.retransmits, 0u);
     EXPECT_EQ(r.nodesFailed, 0u);
     EXPECT_FALSE(runtime->degraded());
+}
+
+// ---------------------------------------------------------------------
+// The VM baselines under faults: page writebacks fan out to every copy
+// through the same replica walker as Kona's evictions, so a copy that
+// misses a writeback goes stale instead of serving old bytes later.
+// ---------------------------------------------------------------------
+
+/** A three-node rack and a VM runtime with one replica per slab. */
+struct VmStack
+{
+    explicit VmStack(VmPersonality personality,
+                     std::size_t localCachePages)
+        : registry(std::make_shared<MetricRegistry>()),
+          controller(1 * MiB)
+    {
+        for (NodeId id = 1; id <= 3; ++id) {
+            nodes.push_back(
+                std::make_unique<MemoryNode>(fabric, id, 64 * MiB));
+            controller.registerNode(*nodes.back());
+        }
+        VmConfig cfg;
+        cfg.personality = personality;
+        cfg.localCachePages = localCachePages;
+        cfg.hierarchy = HierarchyConfig::scaled();
+        cfg.replicationFactor = 1;
+        runtime = std::make_unique<VmRuntime>(
+            fabric, controller, 0, cfg, MetricScope(registry, "vm"));
+    }
+
+    /** The word at remote copy @p loc. */
+    std::uint64_t
+    remoteWord(const RemoteLocation &loc)
+    {
+        std::uint64_t v = 0;
+        fabric.nodeStore(loc.node).read(loc.addr, &v, sizeof(v));
+        return v;
+    }
+
+    std::shared_ptr<MetricRegistry> registry;
+    Fabric fabric;
+    Controller controller;
+    std::vector<std::unique_ptr<MemoryNode>> nodes;
+    std::unique_ptr<VmRuntime> runtime;
+};
+
+class VmFaultOracle : public ::testing::TestWithParam<VmPersonality>
+{};
+
+TEST_P(VmFaultOracle, EveryWordSurvivesDropsAndSpikes)
+{
+    VmStack stack(GetParam(), /*localCachePages=*/64);
+    VmRuntime &rt = *stack.runtime;
+    FaultInjector injector(0x5a1e);
+    for (NodeId id = 1; id <= 3; ++id) {
+        injector.profile(id).dropProbability = 0.05;
+        injector.profile(id).spikeProbability = 0.1;
+    }
+    stack.fabric.setFaultInjector(&injector);
+
+    constexpr std::size_t words = 2 * MiB / sizeof(std::uint64_t);
+    std::vector<std::uint64_t> oracle(words, 0);
+    Addr a = rt.allocate(2 * MiB, pageSize);
+    Rng rng(1);
+    std::size_t staleLoads = 0;
+    for (int i = 0; i < 40000; ++i) {
+        std::size_t w = rng.below(words);
+        Addr addr = a + w * sizeof(std::uint64_t);
+        if (rng.chance(0.5)) {
+            oracle[w] = rng.next();
+            rt.store<std::uint64_t>(addr, oracle[w]);
+        } else {
+            staleLoads += rt.load<std::uint64_t>(addr) != oracle[w];
+        }
+    }
+    EXPECT_EQ(staleLoads, 0u);
+
+    // With the noise gone, every page refaults from the remote image.
+    stack.fabric.setFaultInjector(nullptr);
+    rt.writebackAll();
+    std::size_t staleWords = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+        staleWords +=
+            rt.load<std::uint64_t>(a + w * sizeof(std::uint64_t)) !=
+            oracle[w];
+    }
+    EXPECT_EQ(staleWords, 0u);
+    EXPECT_GT(stack.registry->counter("vm.stale_home_skips").value(), 0u);
+    EXPECT_GT(injector.dropsInjected(), 0u);
+    EXPECT_EQ(stack.controller.nodesFailed(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Personalities, VmFaultOracle,
+    ::testing::Values(VmPersonality::KonaVm, VmPersonality::LegoOs,
+                      VmPersonality::Infiniswap),
+    [](const ::testing::TestParamInfo<VmPersonality> &info) {
+        switch (info.param) {
+          case VmPersonality::KonaVm: return std::string("KonaVm");
+          case VmPersonality::LegoOs: return std::string("LegoOs");
+          case VmPersonality::Infiniswap: break;
+        }
+        return std::string("Infiniswap");
+    });
+
+TEST(VmReplicaWalk, MissedWritebackIsSkippedThenFreshened)
+{
+    VmStack stack(VmPersonality::KonaVm, /*localCachePages=*/4);
+    VmRuntime &rt = *stack.runtime;
+    Addr a = rt.allocate(pageSize, pageSize);
+    CopySet copies = rt.translation().copies(a);
+    ASSERT_EQ(copies.size(), 2u);
+    const RemoteLocation primary = copies[0];
+    const RemoteLocation replica = copies[1];
+    Counter &skips = stack.registry->counter("vm.stale_home_skips");
+
+    // 1. The writeback lands on the replica and misses the live
+    //    primary, whose copy keeps the old bytes.
+    rt.store<std::uint64_t>(a, 0x1111);
+    FaultInjector injector;
+    injector.profile(primary.node).dropProbability = 1.0;
+    stack.fabric.setFaultInjector(&injector);
+    rt.writebackAll();
+    stack.fabric.setFaultInjector(nullptr);
+    EXPECT_EQ(stack.remoteWord(replica), 0x1111u);
+    EXPECT_EQ(stack.remoteWord(primary), 0u);
+
+    // 2. The next fault skips the stale primary and reads the replica,
+    //    without promoting it: the primary's node is up.
+    EXPECT_EQ(rt.load<std::uint64_t>(a), 0x1111u);
+    EXPECT_GT(skips.value(), 0u);
+    EXPECT_EQ(rt.stats().replicaPromotions, 0u);
+
+    // 3. The page is clean, yet its eviction rewrites the stale copy;
+    //    afterwards the primary serves reads again.
+    rt.writebackAll();
+    EXPECT_EQ(stack.remoteWord(primary), 0x1111u);
+    EXPECT_EQ(rt.stats().silentEvictions, 0u);
+    std::uint64_t skipsBefore = skips.value();
+    EXPECT_EQ(rt.load<std::uint64_t>(a), 0x1111u);
+    EXPECT_EQ(skips.value(), skipsBefore);
 }
 
 // ---------------------------------------------------------------------

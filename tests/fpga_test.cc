@@ -195,7 +195,7 @@ TEST(RemoteTranslation, ReplicasAndPromotion)
     SlabGrant replica{2, {6, 0x9000}, 0x1000, 2};
     xlate.addSlab(0, primary, {replica});
 
-    auto all = xlate.translateAll(0x10);
+    CopySet all = xlate.copies(0x10);
     ASSERT_EQ(all.size(), 2u);
     EXPECT_EQ(all[0].node, 5u);
     EXPECT_EQ(all[1].node, 6u);

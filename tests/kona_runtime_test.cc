@@ -253,9 +253,10 @@ TEST_F(KonaReplicationFixture, EvictionWritesAllReplicas)
     Addr a = runtime->allocate(pageSize, pageSize);
     runtime->store<std::uint64_t>(a + 128, 0xabcdef);
     runtime->writebackAll();
-    auto copies = runtime->fpga().translation().translateAll(a + 128);
+    CopySet copies = runtime->fpga().translation().copies(a + 128);
     ASSERT_EQ(copies.size(), 2u);
-    for (const RemoteLocation &loc : copies) {
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+        const RemoteLocation loc = copies[i];
         std::uint64_t check = 0;
         fabric.nodeStore(loc.node).read(loc.addr, &check,
                                         sizeof(check));

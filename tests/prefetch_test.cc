@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/kona_runtime.h"
 #include "fpga/coherent_fpga.h"
+#include "net/fault_injector.h"
 #include "prefetch/adaptive_prefetcher.h"
 #include "prefetch/correlation_prefetcher.h"
 #include "prefetch/prefetch_queue.h"
@@ -383,7 +384,7 @@ TEST_F(PrefetchEngineFixture, PrefetchFallsBackToReplicaOnDownNode)
 
     FpgaConfig cfg = baseConfig;
     cfg.prefetchPolicy = "next:1";
-    CoherentFpga fpga(fabric, 3, cfg);
+    CoherentFpga fpga(fabric, 3, cfg, {}, &controller);
     SlabGrant a = *controller.allocateSlab(PlacementRequest{.required = true});
     SlabGrant b = *controller.allocateSlab(PlacementRequest{.required = true});
     ASSERT_NE(a.where.node, b.where.node);
@@ -395,12 +396,11 @@ TEST_F(PrefetchEngineFixture, PrefetchFallsBackToReplicaOnDownNode)
     fpga.serveLine(base, AccessType::Read, clock);   // fetch 0, pf 1
     ASSERT_TRUE(fpga.pageResident(pageNumber(base) + 1));
 
-    int healthReports = 0;
-    int failureReports = 0;
-    fpga.setHealthReporter([&](NodeId, bool ok, Tick) {
-        ++healthReports;
-        failureReports += ok ? 0 : 1;
-    });
+    // A slow replica link makes the success's latency sample visible
+    // in node 8's score.
+    FaultInjector injector;
+    injector.profile(8).degradeDelayNs = 1'000'000;
+    fabric.setFaultInjector(&injector);
     fabric.setNodeDown(7, true);
 
     // FMem hit on the prefetched page; the engine now wants page 2,
@@ -414,9 +414,13 @@ TEST_F(PrefetchEngineFixture, PrefetchFallsBackToReplicaOnDownNode)
     EXPECT_EQ(fpga.prefetchReplicaFallbacks(), 1u);
     EXPECT_EQ(fpga.prefetchStats().droppedNodeDown, 0u);
     EXPECT_EQ(fpga.translation().translate(base).node, 7u);
-    EXPECT_EQ(fpga.replicaPromotions(), 0u);
-    EXPECT_EQ(failureReports, 1);
-    EXPECT_GE(healthReports, 2);   // the failure + the replica success
+    EXPECT_EQ(fpga.replicas().promotions(), 0u);
+    // Exactly one failure sample for the dead primary (node 7's
+    // earlier samples were clean), and the replica's success reached
+    // the scorer with its latency.
+    const double alpha = controller.healthPolicy().ewmaAlpha;
+    EXPECT_DOUBLE_EQ(controller.healthScore(7), alpha);
+    EXPECT_GT(controller.healthScore(8), alpha);
 
     // With every copy unreachable the speculation gives up silently.
     fabric.setNodeDown(8, true);
@@ -425,6 +429,7 @@ TEST_F(PrefetchEngineFixture, PrefetchFallsBackToReplicaOnDownNode)
     EXPECT_EQ(fpga.prefetchStats().droppedNodeDown, 1u);
     fabric.setNodeDown(7, false);
     fabric.setNodeDown(8, false);
+    fabric.setFaultInjector(nullptr);
 }
 
 TEST_F(PrefetchEngineFixture, NextOnePolicyString)
