@@ -16,7 +16,6 @@ VmRuntime::VmRuntime(Fabric &fabric, Controller &controller,
       replicas_(fabric, &controller, translation_, scope_),
       windowCursor_(config.windowBase), poller_(fabric.latency()),
       qps_(fabric, computeNode, cq_, scope_),
-      rdmaBuffer_(pageSize),
       reads_(scope_.counter("reads")),
       writes_(scope_.counter("writes")),
       bytesRead_(scope_.counter("bytes_read")),
@@ -31,6 +30,9 @@ VmRuntime::VmRuntime(Fabric &fabric, Controller &controller,
       majorFaultNs_(scope_.histogram("major_fault_ns"))
 {
     KONA_ASSERT(config.localCachePages > 0, "empty local cache");
+    KONA_ASSERT(config.localCachePages < noFrame,
+                "local cache larger than the LRU index");
+    lru_.resize(config.localCachePages);
     // Hand frames out lowest first.
     freeFrames_.reserve(config.localCachePages);
     for (Addr f = config.localCachePages; f > 0; --f)
@@ -123,11 +125,40 @@ VmRuntime::deallocate(Addr addr)
 }
 
 void
-VmRuntime::touchLru(Addr vpn)
+VmRuntime::touchLru(Addr frame, Addr vpn)
 {
-    auto it = lruMap_.find(vpn);
-    KONA_ASSERT(it != lruMap_.end(), "LRU touch of non-resident page");
-    lruList_.splice(lruList_.begin(), lruList_, it->second);
+    KONA_ASSERT(frame < lru_.size() && lru_[frame].vpn == vpn,
+                "LRU touch of non-resident page ", vpn);
+    if (frame == lruHead_)
+        return;
+    unlinkLru(frame);
+    pushLru(frame, vpn);
+}
+
+void
+VmRuntime::pushLru(Addr frame, Addr vpn)
+{
+    auto f = static_cast<std::uint32_t>(frame);
+    lru_[f] = {vpn, noFrame, lruHead_};
+    if (lruHead_ != noFrame)
+        lru_[lruHead_].prev = f;
+    else
+        lruTail_ = f;
+    lruHead_ = f;
+}
+
+void
+VmRuntime::unlinkLru(Addr frame)
+{
+    const FrameLru &f = lru_[frame];
+    if (f.prev != noFrame)
+        lru_[f.prev].next = f.next;
+    else
+        lruHead_ = f.next;
+    if (f.next != noFrame)
+        lru_[f.next].prev = f.prev;
+    else
+        lruTail_ = f.prev;
 }
 
 void
@@ -140,7 +171,7 @@ VmRuntime::majorFault(Addr vpn)
     const LatencyConfig &lat = fabric_.latency();
 
     // Make room first (the fault handler needs a free local frame).
-    if (lruList_.size() >= config_.localCachePages)
+    if (freeFrames_.empty())
         evictOne();
 
     // Fetch the page. The personality's measured fault-to-data latency
@@ -150,12 +181,19 @@ VmRuntime::majorFault(Addr vpn)
     appClock_.advance(static_cast<Tick>(
         remoteFetchNs(lat, config_.personality)));
 
+    // Each copy is read straight into the frame the page will occupy.
+    // That frame stays free (it holds no page) until a read lands, and
+    // a read that fails writes no byte: drops, timeouts and down nodes
+    // never reach the store, and the injector turns a corrupted read
+    // into a drop. A failed or retried walk leaves nothing to undo.
     // When every copy is misbehaving, back off and retry.
+    const Addr frame = freeFrames_.back();
+    std::uint8_t *page = cmem_.pagePointer(frame * pageSize);
     SimClock scratch;
     RetryState retry(config_.retry, retrySeed_++);
     retry.bindTelemetry(&retries_, nullptr);
     auto readCopy = [&](const RemoteLocation &loc) {
-        return transferPage(RdmaOpcode::Read, loc, scratch);
+        return transferPage(RdmaOpcode::Read, loc, page, scratch);
     };
     while (!replicas_.read(vpn, ReadIntent::Demand, readCopy)) {
         if (!retry.shouldRetry()) {
@@ -164,9 +202,7 @@ VmRuntime::majorFault(Addr vpn)
         }
         retry.backoff(appClock_);
     }
-    Addr frame = freeFrames_.back();
     freeFrames_.pop_back();
-    cmem_.write(frame * pageSize, rdmaBuffer_.data(), pageSize);
 
     // Install the translation; with dirty tracking enabled the page
     // comes up write-protected so the first store minor-faults.
@@ -175,8 +211,7 @@ VmRuntime::majorFault(Addr vpn)
         pageTable_.writeProtect(vpn);
     appClock_.advance(static_cast<Tick>(lat.pteUpdateNs));
 
-    lruList_.push_front(vpn);
-    lruMap_[vpn] = lruList_.begin();
+    pushLru(frame, vpn);
     span.arg("retries", retry.attempts());
     majorFaultNs_.record(static_cast<double>(appClock_.now() -
                                              faultStart));
@@ -211,7 +246,7 @@ VmRuntime::ensureAccess(Addr vpn, AccessType type)
     for (int spins = 0; spins < 4; ++spins) {
         switch (pageTable_.translate(vpn, type)) {
           case TranslationResult::Ok:
-            touchLru(vpn);
+            touchLru(pageTable_.entry(vpn)->physPage, vpn);
             return;
           case TranslationResult::NotPresent:
             majorFault(vpn);
@@ -253,7 +288,7 @@ VmRuntime::ensureRange(Addr addr, std::size_t size, AccessType type)
                 // Keep the whole span hot so LRU prefers other victims.
                 if (pageTable_.translate(vpn, type) ==
                     TranslationResult::Ok) {
-                    touchLru(vpn);
+                    touchLru(pte->physPage, vpn);
                 }
             }
         }
@@ -265,14 +300,16 @@ VmRuntime::ensureRange(Addr addr, std::size_t size, AccessType type)
 void
 VmRuntime::evictOne()
 {
-    KONA_ASSERT(!lruList_.empty(), "eviction with empty cache");
-    Addr vpn = lruList_.back();
-    lruList_.pop_back();
-    lruMap_.erase(vpn);
+    KONA_ASSERT(lruTail_ != noFrame, "eviction with empty cache");
+    const Addr frame = lruTail_;
+    const Addr vpn = lru_[frame].vpn;
+    unlinkLru(frame);
+    lru_[frame].vpn = invalidAddr;
 
     const LatencyConfig &lat = fabric_.latency();
     const PageTableEntry *pte = pageTable_.entry(vpn);
-    KONA_ASSERT(pte != nullptr && pte->present, "LRU page not mapped");
+    KONA_ASSERT(pte != nullptr && pte->present && pte->physPage == frame,
+                "LRU page not mapped to its frame");
 
     // Without write-protect tracking, every page must be assumed dirty.
     // A clean page with a stale home is written back too, so the copy
@@ -289,7 +326,7 @@ VmRuntime::evictOne()
             evClock.advance(static_cast<Tick>(
                 lat.infiniswapEvictionOverheadNs));
         }
-        writebackPage(vpn, evClock);
+        writebackPage(vpn, frame, evClock);
         pageTable_.clearDirty(vpn);
     } else {
         silentEvictions_.add();
@@ -303,12 +340,12 @@ VmRuntime::evictOne()
     appClock_.advance(static_cast<Tick>(lat.tlbShootdownNs +
                                         lat.pteUpdateNs));
 
-    freeFrames_.push_back(pte->physPage);
+    freeFrames_.push_back(frame);
     pagesEvicted_.add();
 }
 
 void
-VmRuntime::writebackPage(Addr vpn, SimClock &clock)
+VmRuntime::writebackPage(Addr vpn, Addr frame, SimClock &clock)
 {
     std::uint32_t lane = &clock == &backgroundClock_
                              ? traceBackgroundThread
@@ -319,11 +356,13 @@ VmRuntime::writebackPage(Addr vpn, SimClock &clock)
     const LatencyConfig &lat = fabric_.latency();
 
     // Copy the page into the RDMA-registered buffer (the cost Fig 11's
-    // idealized no-copy baselines omit).
+    // idealized no-copy baselines omit). The modelled copy is charged;
+    // the simulator posts straight from the frame, which no write op
+    // changes (injected corruption flips bits on the remote side).
     clock.advance(static_cast<Tick>(
         lat.copySetupNs +
         static_cast<double>(pageSize) * lat.copyPerKbNs / 1024.0));
-    cmem_.read(frameAddr(vpn * pageSize), rdmaBuffer_.data(), pageSize);
+    std::uint8_t *page = cmem_.pagePointer(frame * pageSize);
 
     // Every copy is written in parallel on its own branch of the clock.
     // If none lands, back off and retry rather than dying on a
@@ -336,7 +375,7 @@ VmRuntime::writebackPage(Addr vpn, SimClock &clock)
         SimClock branch;
         branch.advanceTo(start);
         std::optional<Tick> latency =
-            transferPage(RdmaOpcode::Write, loc, branch);
+            transferPage(RdmaOpcode::Write, loc, page, branch);
         if (latency.has_value()) {
             wireBytes_.add(pageSize);
             end = std::max(end, branch.now());
@@ -354,12 +393,12 @@ VmRuntime::writebackPage(Addr vpn, SimClock &clock)
 
 std::optional<Tick>
 VmRuntime::transferPage(RdmaOpcode opcode, const RemoteLocation &loc,
-                        SimClock &clock)
+                        std::uint8_t *page, SimClock &clock)
 {
     WorkRequest wr;
     wr.wrId = nextWrId_++;
     wr.opcode = opcode;
-    wr.localBuf = rdmaBuffer_.data();
+    wr.localBuf = page;
     wr.remoteKey = loc.regionKey;
     wr.remoteAddr = loc.addr;
     wr.length = pageSize;
@@ -451,7 +490,7 @@ VmRuntime::write(Addr addr, const void *buf, std::size_t size)
 void
 VmRuntime::writebackAll()
 {
-    while (!lruList_.empty())
+    while (lruTail_ != noFrame)
         evictOne();
 }
 

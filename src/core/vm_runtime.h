@@ -23,9 +23,7 @@
 #ifndef KONA_CORE_VM_RUNTIME_H
 #define KONA_CORE_VM_RUNTIME_H
 
-#include <list>
 #include <memory>
-#include <unordered_map>
 
 #include "cache/hierarchy.h"
 #include "core/runtime.h"
@@ -95,7 +93,10 @@ class VmRuntime : public RemoteMemoryRuntime
     SimClock &appClock() { return appClock_; }
     const PageTable &pageTable() const { return pageTable_; }
     const Tlb &tlb() const { return tlb_; }
-    std::size_t residentPages() const { return lruList_.size(); }
+    std::size_t residentPages() const
+    {
+        return config_.localCachePages - freeFrames_.size();
+    }
     std::uint64_t faultRetries() const { return retries_.value(); }
     std::uint64_t replicaPromotions() const
     {
@@ -131,20 +132,25 @@ class VmRuntime : public RemoteMemoryRuntime
     /** Evict the LRU page to make room. */
     void evictOne();
 
-    /** Write page @p vpn back to every remote copy. */
-    void writebackPage(Addr vpn, SimClock &clock);
+    /** Write page @p vpn, resident in @p frame, back to every remote
+     *  copy. */
+    void writebackPage(Addr vpn, Addr frame, SimClock &clock);
 
-    /** Move one page between rdmaBuffer_ and copy @p loc on @p clock;
-     *  @return the op's latency, or nullopt when it failed. */
+    /** Move one page between local frame bytes @p page and copy @p loc
+     *  on @p clock; @return the op's latency, or nullopt when it
+     *  failed. */
     std::optional<Tick> transferPage(RdmaOpcode opcode,
                                      const RemoteLocation &loc,
-                                     SimClock &clock);
+                                     std::uint8_t *page, SimClock &clock);
 
     /** Local-cache address of resident virtual address @p addr. */
     Addr frameAddr(Addr addr) const;
 
-    /** Move @p vpn to the MRU position. */
-    void touchLru(Addr vpn);
+    /** Move @p frame, which must hold @p vpn, to the MRU position. */
+    void touchLru(Addr frame, Addr vpn);
+    /** Link @p frame, now holding @p vpn, in at the MRU position. */
+    void pushLru(Addr frame, Addr vpn);
+    void unlinkLru(Addr frame);
 
     void mapNewSlab();
     void ensureHeap(std::size_t need);
@@ -163,20 +169,29 @@ class VmRuntime : public RemoteMemoryRuntime
      *  frame * pageSize (a present PTE's physPage names the frame). */
     BackingStore cmem_;
     std::vector<Addr> freeFrames_;
+
+    /** LRU order of the occupied frames, linked through per-frame
+     *  prev/next indices; vpn names the page a frame holds. */
+    struct FrameLru
+    {
+        Addr vpn = invalidAddr;
+        std::uint32_t prev = noFrame;   ///< toward MRU
+        std::uint32_t next = noFrame;   ///< toward LRU
+    };
+    static constexpr std::uint32_t noFrame = ~std::uint32_t{0};
+    std::vector<FrameLru> lru_;
+    std::uint32_t lruHead_ = noFrame;   ///< most recently used
+    std::uint32_t lruTail_ = noFrame;   ///< the next victim
+
     RemoteTranslation translation_;
     ReplicaWalker replicas_;
 
     std::unique_ptr<RegionAllocator> heap_;
     Addr windowCursor_;
 
-    /** LRU order of resident pages; front = most recent. */
-    std::list<Addr> lruList_;
-    std::unordered_map<Addr, std::list<Addr>::iterator> lruMap_;
-
     CompletionQueue cq_;
     Poller poller_;
     QueuePairs qps_;
-    std::vector<std::uint8_t> rdmaBuffer_;
 
     SimClock appClock_;
     SimClock backgroundClock_;

@@ -1,7 +1,6 @@
 #include "fpga/coherent_fpga.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "common/logging.h"
@@ -157,7 +156,6 @@ CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FillOrigin origin,
     // health/liveness, and feeds the Controller's failure detector.
     ShardSection section(gate_, GateEvent::Fetch);
 
-    std::array<std::uint8_t, pageSize> staging;
     bool prefetch = origin == FillOrigin::Prefetch;
     bool speculative = origin != FillOrigin::Demand;
 
@@ -173,13 +171,21 @@ CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FillOrigin origin,
     else if (origin == FillOrigin::Tier)
         span.arg("intent", "tier");
 
-    // One RDMA read of one copy into the staging page; the walker
-    // picks the copies and turns each outcome into health evidence.
+    // One RDMA read of one copy straight into the frame insert() will
+    // hand this page; the walker picks the copies and turns each
+    // outcome into health evidence. The frame is parked in a free way
+    // and holds no page until the read lands, and a read that fails
+    // writes no byte (drops, timeouts and down nodes never reach the
+    // store; the injector turns a corrupted read into a drop), so a
+    // failed walk leaves the set as it found it.
+    const std::size_t frame = fmem_.nextFrame(vpn);
+    std::uint8_t *page =
+        fmemStore_.pagePointer(static_cast<Addr>(frame) * pageSize);
     auto readCopy = [&](const RemoteLocation &loc) -> std::optional<Tick> {
         WorkRequest wr;
         wr.wrId = nextWrId_++;
         wr.opcode = RdmaOpcode::Read;
-        wr.localBuf = staging.data();
+        wr.localBuf = page;
         wr.remoteKey = loc.regionKey;
         wr.remoteAddr = loc.addr;
         wr.length = pageSize;
@@ -217,9 +223,9 @@ CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FillOrigin origin,
     if (prefetch && *copy != 0)
         prefetchReplicaFallback_.add();
 
-    std::size_t frame = fmem_.insert(vpn, origin, issueTick);
-    fmemStore_.write(static_cast<Addr>(frame) * pageSize, staging.data(),
-                     pageSize);
+    const std::size_t inserted = fmem_.insert(vpn, origin, issueTick);
+    KONA_ASSERT(inserted == frame, "page ", vpn, " read into frame ",
+                frame, " but installed in frame ", inserted);
     remoteFetches_.add();
     if (!speculative)
         demandFetches_.add();

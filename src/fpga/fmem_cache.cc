@@ -109,6 +109,15 @@ FMemCache::insert(Addr vpn, FillOrigin origin, Tick tick)
     return frame;
 }
 
+std::size_t
+FMemCache::nextFrame(Addr vpn) const
+{
+    std::size_t si = setOf(vpn);
+    std::size_t used = used_[si];
+    KONA_ASSERT(used < assoc_, "no free way for VFMem page ", vpn);
+    return setBase(si)[used].frame;
+}
+
 std::optional<FMemCache::SpecTag>
 FMemCache::clearSpeculative(Addr vpn)
 {

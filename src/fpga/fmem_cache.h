@@ -100,6 +100,10 @@ class FMemCache
                        FillOrigin origin = FillOrigin::Demand,
                        Tick tick = 0);
 
+    /** The frame insert(@p vpn) will hand out next: the one parked in
+     *  the first invalid slot of its set, which must have a free way. */
+    std::size_t nextFrame(Addr vpn) const;
+
     /**
      * First-touch attribution: if @p vpn is resident and still
      * carries a speculative-fill tag, clear the tag and return it;

@@ -4,31 +4,57 @@
 
 namespace kona {
 
+namespace {
+
+/** Widest span the dense storage covers: 64 GiB of pages, four times
+ *  the default VM window. A sparse outlier fails loudly, not by OOM. */
+constexpr Addr maxSpanPages = Addr{1} << 24;
+
+} // namespace
+
 void
 PageTable::map(Addr vpn, Addr ppn, bool writable)
 {
-    PageTableEntry &pte = entries_[vpn];
-    pte.physPage = ppn;
-    pte.present = true;
-    pte.writable = writable;
-    pte.dirty = false;
-    pte.accessed = false;
+    if (slots_.empty()) {
+        base_ = vpn;
+    } else if (vpn < base_) {
+        KONA_ASSERT(base_ + slots_.size() - vpn <= maxSpanPages,
+                    "page table span too wide at vpn ", vpn);
+        slots_.insert(slots_.begin(), base_ - vpn, Slot{});
+        base_ = vpn;
+    }
+    Addr offset = vpn - base_;
+    if (offset >= slots_.size()) {
+        KONA_ASSERT(offset < maxSpanPages,
+                    "page table span too wide at vpn ", vpn);
+        slots_.resize(offset + 1);
+    }
+    Slot &slot = slots_[offset];
+    if (!slot.mapped) {
+        slot.mapped = true;
+        ++size_;
+    }
+    slot.pte = {ppn, /*present=*/true, writable, /*dirty=*/false,
+                /*accessed=*/false};
     pteUpdates_.add();
 }
 
 void
 PageTable::unmap(Addr vpn)
 {
-    entries_.erase(vpn);
+    if (mapped(vpn)) {
+        slots_[vpn - base_] = Slot{};
+        --size_;
+    }
     pteUpdates_.add();
 }
 
 PageTableEntry &
 PageTable::entryRef(Addr vpn)
 {
-    auto it = entries_.find(vpn);
-    KONA_ASSERT(it != entries_.end(), "no PTE for vpn ", vpn);
-    return it->second;
+    const Slot *slot = find(vpn);
+    KONA_ASSERT(slot != nullptr, "no PTE for vpn ", vpn);
+    return slots_[vpn - base_].pte;
 }
 
 void
@@ -71,11 +97,11 @@ PageTable::clearDirty(Addr vpn)
 TranslationResult
 PageTable::translate(Addr vpn, AccessType type)
 {
-    auto it = entries_.find(vpn);
-    if (it == entries_.end() || !it->second.present)
+    const Slot *slot = find(vpn);
+    if (slot == nullptr || !slot->pte.present)
         return TranslationResult::NotPresent;
 
-    PageTableEntry &pte = it->second;
+    PageTableEntry &pte = slots_[vpn - base_].pte;
     if (type == AccessType::Write && !pte.writable)
         return TranslationResult::WriteProtected;
 
@@ -83,13 +109,6 @@ PageTable::translate(Addr vpn, AccessType type)
     if (type == AccessType::Write)
         pte.dirty = true;
     return TranslationResult::Ok;
-}
-
-const PageTableEntry *
-PageTable::entry(Addr vpn) const
-{
-    auto it = entries_.find(vpn);
-    return it == entries_.end() ? nullptr : &it->second;
 }
 
 } // namespace kona

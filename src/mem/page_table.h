@@ -7,14 +7,18 @@
  * Kona itself keeps pages permanently present and writable in VFMem;
  * the VM baselines flip these bits constantly — that asymmetry is the
  * core of the paper.
+ *
+ * Entries live in one dense array indexed by page offset from the
+ * lowest mapped page, so a lookup is an index, not a hash. Storage
+ * follows the span between the lowest and highest page ever mapped;
+ * both runtimes map one contiguous window, slab by slab.
  */
 
 #ifndef KONA_MEM_PAGE_TABLE_H
 #define KONA_MEM_PAGE_TABLE_H
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/stats.h"
 #include "common/types.h"
@@ -48,6 +52,8 @@ class PageTable
     /**
      * Map virtual page @p vpn to physical page @p ppn.
      * @param writable Initial write permission.
+     * Mapping a page outside the current span grows the storage and
+     * invalidates every pointer entry() returned before.
      */
     void map(Addr vpn, Addr ppn, bool writable = true);
 
@@ -75,19 +81,43 @@ class PageTable
      */
     TranslationResult translate(Addr vpn, AccessType type);
 
-    /** Entry lookup without side effects. */
-    const PageTableEntry *entry(Addr vpn) const;
+    /** Entry lookup without side effects; valid until the next map(). */
+    const PageTableEntry *entry(Addr vpn) const
+    {
+        const Slot *slot = find(vpn);
+        return slot == nullptr ? nullptr : &slot->pte;
+    }
 
-    bool mapped(Addr vpn) const { return entries_.count(vpn) != 0; }
-    std::size_t size() const { return entries_.size(); }
+    bool mapped(Addr vpn) const { return find(vpn) != nullptr; }
+    std::size_t size() const { return size_; }
 
     /** Number of PTE modifications performed (cost accounting). */
     std::uint64_t pteUpdates() const { return pteUpdates_.value(); }
 
   private:
+    struct Slot
+    {
+        PageTableEntry pte;
+        bool mapped = false;
+    };
+
+    /** The mapped slot of @p vpn, or nullptr. */
+    const Slot *
+    find(Addr vpn) const
+    {
+        // Pages below base_ wrap to huge offsets and fail the bound.
+        Addr offset = vpn - base_;
+        if (offset >= slots_.size() || !slots_[offset].mapped)
+            return nullptr;
+        return &slots_[offset];
+    }
+
     PageTableEntry &entryRef(Addr vpn);
 
-    std::unordered_map<Addr, PageTableEntry> entries_;
+    /** Page number of slots_[0]. */
+    Addr base_ = 0;
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
     Counter pteUpdates_;
 };
 

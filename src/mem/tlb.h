@@ -5,14 +5,18 @@
  * on multi-core runs, triggers shootdown IPIs whose cost the runtimes
  * charge via LatencyConfig::tlbShootdownNs. Kona never changes page
  * permissions after setup, so its TLB entries are never shot down.
+ *
+ * Storage is fixed at construction: capacity slots linked by prev/next
+ * indices in exact LRU order, plus an open-addressing vpn -> slot index
+ * (linear probing, backward-shift deletion) at most half full. Nothing
+ * allocates after the constructor.
  */
 
 #ifndef KONA_MEM_TLB_H
 #define KONA_MEM_TLB_H
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/stats.h"
 #include "common/types.h"
@@ -42,12 +46,51 @@ class Tlb
     std::uint64_t misses() const { return misses_.value(); }
     std::uint64_t invalidations() const { return invalidations_.value(); }
     std::uint64_t flushes() const { return flushes_.value(); }
-    std::size_t occupancy() const { return map_.size(); }
+    std::size_t occupancy() const { return used_; }
 
   private:
-    std::size_t capacity_;
-    std::list<Addr> lru_;   // front = most recent
-    std::unordered_map<Addr, std::list<Addr>::iterator> map_;
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+
+    /** One translation slot, linked into the LRU list or free list. */
+    struct Slot
+    {
+        Addr vpn = 0;
+        std::uint32_t prev = none; ///< toward MRU
+        std::uint32_t next = none; ///< toward LRU (or next free slot)
+    };
+
+    /** One index bucket: a resident vpn and its slot. */
+    struct Bucket
+    {
+        Addr vpn = 0;
+        std::uint32_t slot = none;   ///< none = empty bucket
+    };
+
+    std::size_t home(Addr vpn) const
+    {
+        return static_cast<std::size_t>(
+            (vpn * 0x9e3779b97f4a7c15ULL) >> hashShift_);
+    }
+
+    /** Empty the index and put every slot on the free list. */
+    void clear();
+    /** Bucket holding @p vpn, or none. */
+    std::uint32_t findBucket(Addr vpn) const;
+    /** Empty bucket @p b and shift later members of its run back. */
+    void eraseBucket(std::size_t b);
+    void unlink(std::uint32_t s);
+    void pushFront(std::uint32_t s);
+    void touch(std::uint32_t s);
+
+    /** One slot per entry of capacity. */
+    std::vector<Slot> slots_;
+    std::vector<Bucket> index_;
+    std::size_t mask_;
+    unsigned hashShift_;
+    std::uint32_t head_ = none;    ///< most recently used
+    std::uint32_t tail_ = none;    ///< least recently used
+    std::uint32_t freeHead_ = none;
+    std::size_t used_ = 0;
     Counter hits_;
     Counter misses_;
     Counter invalidations_;

@@ -1,5 +1,7 @@
 #include "net/queue_pair.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "net/fault_injector.h"
 
@@ -20,10 +22,22 @@ QueuePairs::to(NodeId node)
 WorkCompletion
 CompletionQueue::pop()
 {
-    KONA_ASSERT(!entries_.empty(), "pop from empty CQ");
-    WorkCompletion wc = entries_.front();
-    entries_.pop_front();
+    KONA_ASSERT(depth_ != 0, "pop from empty CQ");
+    WorkCompletion wc = ring_[head_];
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --depth_;
     return wc;
+}
+
+void
+CompletionQueue::grow()
+{
+    std::vector<WorkCompletion> bigger(std::max<std::size_t>(
+        16, 2 * ring_.size()));
+    for (std::size_t i = 0; i < depth_; ++i)
+        bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    ring_ = std::move(bigger);
+    head_ = 0;
 }
 
 QueuePair::QueuePair(Fabric &fabric, NodeId localNode, NodeId remoteNode,

@@ -14,7 +14,6 @@
 #define KONA_NET_QUEUE_PAIR_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -83,20 +82,33 @@ struct PostResult
     explicit operator bool() const { return ok(); }
 };
 
-/** Completion queue: CQEs in completion order. */
+/** Completion queue: CQEs in completion order, in a ring that grows
+ *  (doubling) only when full, so a warmed-up queue never allocates. */
 class CompletionQueue
 {
   public:
-    void push(const WorkCompletion &wc) { entries_.push_back(wc); }
+    void
+    push(const WorkCompletion &wc)
+    {
+        if (depth_ == ring_.size())
+            grow();
+        ring_[(head_ + depth_) & (ring_.size() - 1)] = wc;
+        ++depth_;
+    }
 
-    bool empty() const { return entries_.empty(); }
-    std::size_t depth() const { return entries_.size(); }
+    bool empty() const { return depth_ == 0; }
+    std::size_t depth() const { return depth_; }
 
     /** Pop the oldest CQE; caller checks empty() first. */
     WorkCompletion pop();
 
   private:
-    std::deque<WorkCompletion> entries_;
+    void grow();
+
+    /** Power-of-two sized; entries [head_, head_ + depth_) wrap. */
+    std::vector<WorkCompletion> ring_;
+    std::size_t head_ = 0;
+    std::size_t depth_ = 0;
 };
 
 /**

@@ -3,10 +3,14 @@
  * Tests for the virtual-memory baseline family: fault accounting
  * (major on first touch, minor on first write), page-granularity
  * eviction with TLB shootdowns, the NoWP variant, personality latency
- * ordering, and byte-exact data under cache pressure.
+ * ordering, byte-exact data under cache pressure, and exact LRU
+ * victim order for every personality.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <list>
 
 #include "common/rng.h"
 #include "core/vm_runtime.h"
@@ -269,6 +273,75 @@ TEST_F(VmFixture, SpanLargerThanCacheIsFatal)
     EXPECT_THROW(tiny.write(b, tooBig.data(), tooBig.size()),
                  FatalError);
 }
+
+/** Single-page accesses of every personality must evict in exact LRU
+ *  order: after each access the present pages are a reference LRU's
+ *  resident set. */
+class VmLruOrder : public ::testing::TestWithParam<VmPersonality>
+{
+};
+
+TEST_P(VmLruOrder, PresentPagesMatchReferenceLru)
+{
+    Fabric fabric;
+    Controller controller(1 * MiB);
+    MemoryNode node(fabric, 1, 64 * MiB);
+    controller.registerNode(node);
+    VmConfig cfg;
+    cfg.personality = GetParam();
+    cfg.localCachePages = 16;
+    cfg.hierarchy = HierarchyConfig::scaled();
+    VmRuntime runtime(fabric, controller, 0, cfg);
+
+    constexpr Addr pages = 48;
+    const Addr firstVpn =
+        pageNumber(runtime.allocate(pages * pageSize, pageSize));
+    std::list<Addr> ref;   // front = most recently used
+    Rng rng(0x1e0 + static_cast<std::uint64_t>(GetParam()));
+    for (int i = 0; i < 3000; ++i) {
+        // Half the accesses hit an 8-page hot set, so victims come
+        // from every LRU depth, not only from a uniform sweep.
+        Addr vpn = firstVpn + (rng.below(2) == 0 ? rng.below(8)
+                                                 : rng.below(pages));
+        Addr addr = vpn * pageSize + rng.below(pageSize / 8) * 8;
+        if (rng.below(4) == 0)
+            runtime.store<std::uint64_t>(
+                addr, static_cast<std::uint64_t>(i));
+        else
+            (void)runtime.load<std::uint64_t>(addr);
+
+        auto it = std::find(ref.begin(), ref.end(), vpn);
+        if (it != ref.end())
+            ref.erase(it);
+        else if (ref.size() == cfg.localCachePages)
+            ref.pop_back();
+        ref.push_front(vpn);
+
+        ASSERT_EQ(runtime.residentPages(), ref.size()) << "access " << i;
+        for (Addr p = firstVpn; p < firstVpn + pages; ++p) {
+            const PageTableEntry *pte = runtime.pageTable().entry(p);
+            bool present = pte != nullptr && pte->present;
+            bool expected =
+                std::find(ref.begin(), ref.end(), p) != ref.end();
+            ASSERT_EQ(present, expected)
+                << "page " << p - firstVpn << " after access " << i;
+        }
+    }
+    EXPECT_GT(runtime.stats().pagesEvicted, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Personalities, VmLruOrder,
+    ::testing::Values(VmPersonality::KonaVm, VmPersonality::LegoOs,
+                      VmPersonality::Infiniswap),
+    [](const ::testing::TestParamInfo<VmPersonality> &info) {
+        switch (info.param) {
+          case VmPersonality::KonaVm: return std::string("KonaVm");
+          case VmPersonality::LegoOs: return std::string("LegoOs");
+          case VmPersonality::Infiniswap: break;
+        }
+        return std::string("Infiniswap");
+    });
 
 } // namespace
 } // namespace kona
