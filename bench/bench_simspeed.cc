@@ -89,20 +89,14 @@ struct Stack
     std::unique_ptr<KonaRuntime> runtime;
 };
 
-/**
- * Touch every page of [base, base+span) so it is FMem-resident, and
- * dirty one line per page so the dirty-bitmap entries (steady state
- * for a mix that writes) exist before the timed loop starts.
- */
+/** Touch every page of [base, base+span) so it is FMem-resident
+ *  before the timed loop starts. */
 void
 warmSpan(KonaRuntime &rt, Addr base, std::size_t span)
 {
     std::uint8_t page[pageSize];
-    std::uint64_t touch = 0;
-    for (std::size_t off = 0; off < span; off += pageSize) {
+    for (std::size_t off = 0; off < span; off += pageSize)
         rt.read(base + off, page, pageSize);
-        rt.write(base + off, &touch, sizeof(touch));
-    }
 }
 
 /**

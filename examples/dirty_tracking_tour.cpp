@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "core/kona_runtime.h"
+#include "mem/dirty_bitmap.h"
 
 int
 main()

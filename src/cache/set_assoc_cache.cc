@@ -1,5 +1,6 @@
 #include "cache/set_assoc_cache.h"
 
+#include <bit>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -24,6 +25,8 @@ SetAssocCache::SetAssocCache(const CacheConfig &config,
     numSets_ = config.sizeBytes / (config.blockSize *
                                    config.associativity);
     KONA_ASSERT(numSets_ > 0, "cache too small for its geometry");
+    blockShift_ = static_cast<unsigned>(std::countr_zero(config.blockSize));
+    pow2Sets_ = std::has_single_bit(numSets_);
     ways_.resize(numSets_ * config.associativity);
     used_.assign(numSets_, 0);
 }
@@ -32,7 +35,7 @@ CacheOutcome
 SetAssocCache::access(Addr addr, AccessType type,
                       CacheEviction &eviction)
 {
-    Addr blockNum = addr / config_.blockSize;
+    Addr blockNum = addr >> blockShift_;
     std::size_t s = setIndex(blockNum);
     Way *set = setBase(s);
     std::size_t used = used_[s];
@@ -56,7 +59,7 @@ SetAssocCache::access(Addr addr, AccessType type,
         const Way &victim = set[config_.associativity - 1];
         if (victim.dirty)
             writebacks_.add();
-        eviction = {victim.tag * config_.blockSize, victim.dirty, true};
+        eviction = {victim.tag << blockShift_, victim.dirty, true};
         used = config_.associativity - 1;
     } else {
         eviction.valid = false;
@@ -71,7 +74,7 @@ SetAssocCache::access(Addr addr, AccessType type,
 void
 SetAssocCache::fillDirty(Addr addr, CacheEviction &eviction)
 {
-    Addr blockNum = addr / config_.blockSize;
+    Addr blockNum = addr >> blockShift_;
     std::size_t s = setIndex(blockNum);
     Way *set = setBase(s);
     std::size_t used = used_[s];
@@ -89,7 +92,7 @@ SetAssocCache::fillDirty(Addr addr, CacheEviction &eviction)
         const Way &victim = set[config_.associativity - 1];
         if (victim.dirty)
             writebacks_.add();
-        eviction = {victim.tag * config_.blockSize, victim.dirty, true};
+        eviction = {victim.tag << blockShift_, victim.dirty, true};
         used = config_.associativity - 1;
     } else {
         eviction.valid = false;
@@ -103,7 +106,7 @@ SetAssocCache::fillDirty(Addr addr, CacheEviction &eviction)
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    Addr blockNum = addr / config_.blockSize;
+    Addr blockNum = addr >> blockShift_;
     std::size_t s = setIndex(blockNum);
     const Way *set = setBase(s);
     std::size_t used = used_[s];
@@ -117,7 +120,7 @@ SetAssocCache::contains(Addr addr) const
 std::optional<bool>
 SetAssocCache::invalidateBlock(Addr addr)
 {
-    Addr blockNum = addr / config_.blockSize;
+    Addr blockNum = addr >> blockShift_;
     std::size_t s = setIndex(blockNum);
     Way *set = setBase(s);
     std::size_t used = used_[s];
@@ -142,7 +145,7 @@ SetAssocCache::flushAll(std::vector<CacheEviction> &evictions)
         for (std::size_t i = 0; i < used; ++i) {
             if (set[i].dirty)
                 writebacks_.add();
-            evictions.push_back({set[i].tag * config_.blockSize,
+            evictions.push_back({set[i].tag << blockShift_,
                                  set[i].dirty, true});
         }
         used_[s] = 0;

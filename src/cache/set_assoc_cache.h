@@ -102,7 +102,7 @@ class SetAssocCache
         for (std::size_t s = 0; s < numSets_; ++s) {
             const Way *set = setBase(s);
             for (std::size_t i = 0; i < used_[s]; ++i)
-                fn(set[i].tag * config_.blockSize, set[i].dirty);
+                fn(set[i].tag << blockShift_, set[i].dirty);
         }
     }
 
@@ -127,13 +127,16 @@ class SetAssocCache
   private:
     struct Way
     {
-        Addr tag;       ///< block number (addr / blockSize)
+        Addr tag;       ///< block number (addr >> blockShift_)
         bool dirty;
     };
 
+    /** A mask when the set count is a power of two, else a division
+     *  (Fig 8's DRAM-cache sweep has 99- and 134-set geometries). */
     std::size_t setIndex(Addr blockNum) const
     {
-        return static_cast<std::size_t>(blockNum % numSets_);
+        return static_cast<std::size_t>(
+            pow2Sets_ ? blockNum & (numSets_ - 1) : blockNum % numSets_);
     }
 
     /** Start of set @p s's slice in ways_. */
@@ -146,6 +149,8 @@ class SetAssocCache
     CacheConfig config_;
     MetricScope scope_;
     std::size_t numSets_;
+    unsigned blockShift_;   ///< log2(blockSize)
+    bool pow2Sets_;
     /** numSets * associativity slots; set s owns
      *  [s*assoc, s*assoc + used_[s]) in LRU order, MRU first. */
     std::vector<Way> ways_;

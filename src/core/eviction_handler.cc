@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "rack/cl_log.h"
 
 namespace kona {
 
@@ -50,7 +49,7 @@ EvictionHandler::EvictionHandler(Fabric &fabric, CoherentFpga &fpga,
       config_(config), scope_(std::move(scope)),
       retryPolicy_(config.retry.value_or(RetryPolicy{})),
       poller_(fabric.latency()), qps_(fabric, fpga.nodeId(), cq_, scope_),
-      trace_(config.trace),
+      inflightBatch_(fpga.fmem().frames(), 0), trace_(config.trace),
       pagesEvicted_(scope_.counter("pages_evicted")),
       silent_(scope_.counter("silent_evictions")),
       lines_(scope_.counter("dirty_lines_written")),
@@ -71,18 +70,91 @@ EvictionHandler::EvictionHandler(Fabric &fabric, CoherentFpga &fpga,
                 "pipelineDepth must be >= 1");
 }
 
-EvictionHandler::NodeRing &
-EvictionHandler::ringFor(NodeId node)
+EvictionHandler::NodeSlot &
+EvictionHandler::nodeSlot(NodeId node)
 {
-    auto [it, inserted] = rings_.try_emplace(node);
-    if (inserted) {
-        NodeRing &ring = it->second;
-        ring.slots = std::max<std::size_t>(1, config_.pipelineDepth);
-        ring.slotBytes =
-            controller_.node(node).logSlotBytes(ring.slots);
-        ring.owner.assign(ring.slots, 0);
+    if (node >= nodes_.size())
+        nodes_.resize(static_cast<std::size_t>(node) + 1);
+    NodeSlot &n = nodes_[node];
+    if (n.slots == 0) {
+        n.slots = std::max<std::size_t>(1, config_.pipelineDepth);
+        n.slotBytes = controller_.node(node).logSlotBytes(n.slots);
+        n.owner.assign(n.slots, 0);
     }
-    return it->second;
+    return n;
+}
+
+EvictionHandler::Batch &
+EvictionHandler::openBatch()
+{
+    if (spareBatches_.empty())
+        batches_.emplace_back();
+    else
+        batches_.splice(batches_.end(), spareBatches_,
+                        spareBatches_.begin());
+    Batch &batch = batches_.back();
+    batch.id = nextBatchId_++;
+    batch.pages.clear();
+    batch.homes.clear();
+    batch.reached.clear();
+    batch.outstanding = 0;
+    batch.open = true;
+    batch.lastDone = 0;
+    return batch;
+}
+
+EvictionHandler::Batch &
+EvictionHandler::batchById(std::uint64_t id)
+{
+    for (Batch &batch : batches_) {
+        if (batch.id == id)
+            return batch;
+    }
+    panic("eviction batch ", id, " is not live");
+}
+
+void
+EvictionHandler::retireBatch(std::uint64_t id)
+{
+    auto it = std::find_if(batches_.begin(), batches_.end(),
+                           [id](const Batch &b) { return b.id == id; });
+    KONA_ASSERT(it != batches_.end(), "eviction batch ", id,
+                " is not live");
+    spareBatches_.splice(spareBatches_.begin(), batches_, it);
+}
+
+EvictionHandler::Shipment &
+EvictionHandler::takeShipment(std::uint64_t seed)
+{
+    if (spareShipments_.empty())
+        shipments_.emplace_back();
+    else
+        shipments_.splice(shipments_.end(), spareShipments_,
+                          spareShipments_.begin());
+    Shipment &s = shipments_.back();
+    s.posted = false;
+    s.timeline.reset();
+    s.retry.emplace(retryPolicy_, seed);
+    s.wrId = 0;
+    s.sends = 0;
+    s.wireStart = 0;
+    s.attrStart = 0;
+    s.comp = {};
+    s.doneAt = 0;
+    s.acked = false;
+    s.succeeded = false;
+    return s;
+}
+
+std::list<EvictionHandler::Shipment>::iterator
+EvictionHandler::retireShipment(std::list<Shipment>::iterator it)
+{
+    auto next = std::next(it);
+    // FullPage staging goes; the log buffer keeps its capacity.
+    it->chain.clear();
+    it->pageCopies.clear();
+    spareShipments_.splice(spareShipments_.begin(), shipments_, it);
+    return next;
 }
 
 std::size_t
@@ -96,14 +168,9 @@ EvictionHandler::batchPageLimit() const
     if (config_.mode != EvictionMode::ClLog)
         return limit;
     std::size_t depth = std::max<std::size_t>(1, config_.pipelineDepth);
-    for (NodeId id : controller_.nodeIds()) {
-        std::size_t slotBytes =
-            controller_.node(id).logSlotBytes(depth);
-        limit = std::min(
-            limit, std::max<std::size_t>(
-                       1, slotBytes / clLogWorstBytesPerPage));
-    }
-    return limit;
+    std::size_t slotBytes = controller_.minLogSlotBytes(depth);
+    return std::min(limit, std::max<std::size_t>(
+                               1, slotBytes / clLogWorstBytesPerPage));
 }
 
 void
@@ -135,10 +202,10 @@ EvictionHandler::awaitPageIdle(Addr vpn, SimClock &clock)
     while (true) {
         reapCq();
         finalizeDue(clock.now());
-        auto it = inflightPage_.find(vpn);
-        if (it == inflightPage_.end())
+        auto frame = fpga_.fmem().frameOf(vpn);
+        std::uint64_t batchId = frame ? inflightBatch_[*frame] : 0;
+        if (batchId == 0)
             return;
-        std::uint64_t batchId = it->second;
         conflictStalls_.add();
         auto next = earliestDoneAt([batchId](const Shipment &s) {
             return s.batchId == batchId;
@@ -152,7 +219,13 @@ EvictionHandler::awaitPageIdle(Addr vpn, SimClock &clock)
 BatchTicket
 EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
 {
-    if (req.vpns.empty())
+    return submitPages(req.vpns, clock);
+}
+
+BatchTicket
+EvictionHandler::submitPages(std::span<const Addr> vpns, SimClock &clock)
+{
+    if (vpns.empty())
         return {};
 
     // Cross-shard section: shipments post on the fabric, occupy
@@ -163,17 +236,11 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
     // every node; the ticket of the last chunk is returned (drain()
     // remains the barrier covering all of them).
     std::size_t limit = batchPageLimit();
-    if (req.vpns.size() > limit) {
+    if (vpns.size() > limit) {
         BatchTicket last;
-        for (std::size_t i = 0; i < req.vpns.size(); i += limit) {
-            EvictionRequest chunk;
-            chunk.vpns.assign(
-                req.vpns.begin() + static_cast<std::ptrdiff_t>(i),
-                req.vpns.begin() + static_cast<std::ptrdiff_t>(
-                                       std::min(i + limit,
-                                                req.vpns.size())));
-            last = submit(chunk, clock);
-        }
+        for (std::size_t i = 0; i < vpns.size(); i += limit)
+            last = submitPages(
+                vpns.subspan(i, std::min(limit, vpns.size() - i)), clock);
         return last;
     }
 
@@ -181,22 +248,23 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
 
     // Fence conflicts first: a page already on the wire must land (or
     // fail) before this batch may pack a fresh snapshot of it.
-    for (Addr vpn : req.vpns)
+    for (Addr vpn : vpns)
         awaitPageIdle(vpn, clock);
 
-    std::uint64_t batchId = nextBatchId_++;
-    Batch &batch = batches_[batchId];
-    batch.id = batchId;
+    Batch &batch = openBatch();
+    const std::uint64_t batchId = batch.id;
     batch.start = clock.now();
-    batch.requested = req.vpns.size();
+    batch.requested = vpns.size();
     batch.lane = traceLane_;
+    // Sized for the largest chunk, so a reused slot never regrows.
+    batch.pages.reserve(limit);
 
     // Phase 1: snoop the page's lines out of the CPU caches (only the
     // lines the FPGA's snoop filter names) and read the dirty masks.
     // Clean pages drop silently; remote memory already holds them.
     {
         Span scan(trace_, clock, "bitmap_scan", "evict", traceLane_);
-        for (Addr vpn : req.vpns) {
+        for (Addr vpn : vpns) {
             if (!fpga_.pageResident(vpn))
                 continue;
             fpga_.snoopPage(vpn);
@@ -220,33 +288,26 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
         batch.open = false;
         batch.lastDone = clock.now();
         finalizeBatch(batch);
-        batches_.erase(batchId);
+        retireBatch(batchId);
         return {batchId};
     }
 
-    // Phase 2: build one payload per destination node. The registered-
-    // buffer copy is paid once per run (or page); replicas reuse the
-    // aggregated bytes. Packing captures a snapshot: the dirty mask is
-    // cleared here and the page fenced, so a write while the log is in
-    // flight re-dirties it and finalize re-queues the page.
-    struct NodePayload
-    {
-        std::vector<std::uint8_t> log;       ///< ClLog mode
-        std::unique_ptr<ClLogWriter> writer; ///< builds + checksums log
-        std::vector<WorkRequest> chain;      ///< FullPage mode
-        std::vector<std::unique_ptr<std::vector<std::uint8_t>>>
-            pageCopies;                      ///< FullPage staging
-    };
-    std::map<NodeId, NodePayload> perNode;
-
+    // Phase 2: build one payload per destination node, in that node's
+    // slot. The registered-buffer copy is paid once per run (or page);
+    // replicas reuse the aggregated bytes. Packing captures a
+    // snapshot: the dirty mask is cleared here and the page fenced, so
+    // a write while the log is in flight re-dirties it and finalize
+    // re-queues the page.
+    const bool clLog = config_.mode == EvictionMode::ClLog;
     Span packSpan(trace_, clock, "pack", "evict", traceLane_);
+    std::size_t payloadNodes = 0;
     double copyCost = 0.0;
-    for (const PackedPage &page : batch.pages) {
+    for (PackedPage &page : batch.pages) {
         const std::uint8_t *frame = fpga_.framePointer(page.vpn);
         LineRuns runs;
         std::size_t runCount = runsOf(page.mask, runs);
 
-        if (config_.mode == EvictionMode::ClLog) {
+        if (clLog) {
             // Gathering a page's dirty lines costs one page lookup,
             // a little work per contiguous run, and the byte copy
             // (the hardware prefetcher streams within runs).
@@ -265,18 +326,25 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
         }
 
         const CopySet copies = fpga_.replicas().copies(page.vpn);
+        batch.homes.reserve(limit * copies.size());
+        page.firstHome = static_cast<std::uint32_t>(batch.homes.size());
+        page.homeCount = static_cast<std::uint32_t>(copies.size());
         for (std::size_t i = 0; i < copies.size(); ++i) {
             const RemoteLocation loc = copies[i];
-            batch.homes[page.vpn].push_back(loc.node);
-            NodePayload &payload = perNode[loc.node];
-            if (config_.mode == EvictionMode::ClLog) {
-                if (!payload.writer) {
-                    // Cap the log at one ring slot so an oversized
-                    // shipment is rejected at append time.
-                    payload.writer = std::make_unique<ClLogWriter>(
-                        payload.log,
-                        ringFor(loc.node).slotBytes);
+            batch.homes.push_back(loc.node);
+            NodeSlot &payload = nodeSlot(loc.node);
+            if (!payload.packing) {
+                payload.packing = true;
+                ++payloadNodes;
+                // Cap the log at one ring slot so an oversized
+                // shipment is rejected at append time.
+                if (clLog) {
+                    payload.log.reserve(logCapacity_);
+                    payload.writer.emplace(payload.log,
+                                           payload.slotBytes);
                 }
+            }
+            if (clLog) {
                 for (std::size_t r = 0; r < runCount; ++r) {
                     const LineRun &run = runs[r];
                     bool fits = payload.writer->appendRun(
@@ -312,21 +380,29 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
         // fence keeps the frame out of victim selection until finalize.
         fpga_.clearDirty(page.vpn);
         fpga_.setEvictionInFlight(page.vpn, true);
-        inflightPage_[page.vpn] = batchId;
+        inflightBatch_[*fpga_.fmem().frameOf(page.vpn)] = batchId;
     }
     clock.advance(static_cast<Tick>(copyCost));
     breakdown_.copyNs += copyCost;
-    packSpan.arg("nodes", perNode.size());
+    packSpan.arg("nodes", payloadNodes);
     packSpan.end();
 
     // Phase 3: post one shipment per destination node into its ring
-    // slot. Only slot acquisition can block the caller (counted); the
-    // wire, unpack and ack proceed on each shipment's own timeline.
-    for (auto &[nodeId, payload] : perNode) {
-        if (!fpga_.replicas().reachable(nodeId))
+    // slot, in ascending node order. Only slot acquisition can block
+    // the caller (counted); the wire, unpack and ack proceed on each
+    // shipment's own timeline.
+    for (NodeId nodeId = 0; nodeId < nodes_.size(); ++nodeId) {
+        NodeSlot &ring = nodes_[nodeId];
+        if (!ring.packing)
             continue;
+        ring.packing = false;
+        ring.writer.reset();
+        if (!fpga_.replicas().reachable(nodeId)) {
+            ring.chain.clear();
+            ring.pageCopies.clear();
+            continue;
+        }
 
-        NodeRing &ring = ringFor(nodeId);
         auto freeSlot = [&ring]() -> int {
             for (std::size_t i = 0; i < ring.slots; ++i) {
                 if (ring.owner[i] == 0)
@@ -353,25 +429,27 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
             slot = freeSlot();
         }
 
-        Shipment &s =
-            shipments_.emplace_back(retryPolicy_, retrySeed_++);
+        Shipment &s = takeShipment(retrySeed_++);
         s.id = nextShipmentId_++;
         s.batchId = batchId;
         s.node = nodeId;
         s.slot = static_cast<std::size_t>(slot);
-        s.clLog = config_.mode == EvictionMode::ClLog;
+        s.clLog = clLog;
         if (s.clLog) {
-            s.log = std::move(payload.log);
+            // Swap, so the slot and the shipment both keep a buffer.
+            s.log.swap(ring.log);
+            logCapacity_ =
+                std::max(logCapacity_, std::bit_ceil(s.log.size()));
         } else {
-            if (payload.chain.empty()) {
-                shipments_.pop_back();
+            if (ring.chain.empty()) {
+                retireShipment(std::prev(shipments_.end()));
                 continue;
             }
-            payload.chain.back().signaled = true;
-            s.chain = std::move(payload.chain);
-            s.pageCopies = std::move(payload.pageCopies);
+            ring.chain.back().signaled = true;
+            s.chain.swap(ring.chain);
+            s.pageCopies.swap(ring.pageCopies);
         }
-        s.retry.bindTelemetry(&retries_, &retryBackoffNs_);
+        s.retry->bindTelemetry(&retries_, &retryBackoffNs_);
         ring.owner[s.slot] = s.id;
         s.timeline.advanceTo(clock.now());
         s.attrStart = s.timeline.now();
@@ -385,7 +463,7 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
     if (batch.outstanding == 0) {
         batch.lastDone = std::max(batch.lastDone, clock.now());
         finalizeBatch(batch);
-        batches_.erase(batchId);
+        retireBatch(batchId);
     }
     return {batchId};
 }
@@ -393,7 +471,7 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
 void
 EvictionHandler::postShipment(Shipment &s)
 {
-    NodeRing &ring = ringFor(s.node);
+    NodeSlot &ring = nodes_[s.node];
     MemoryNode &node = controller_.node(s.node);
     // One link per node: a shipment's wire time starts only when the
     // previous transfer to that node has left the NIC.
@@ -402,22 +480,20 @@ EvictionHandler::postShipment(Shipment &s)
     s.comp[EvictComponent::Queueing] += s.timeline.now() - parked;
     s.wireStart = s.timeline.now();
     ++s.sends;
+    s.posted = true;
     if (s.clLog) {
         WorkRequest wr;
-        wr.wrId = nextWrId_++;
+        wr.wrId = s.wrId = nextWrId_++;
         wr.opcode = RdmaOpcode::Write;
         wr.localBuf = s.log.data();
         wr.remoteKey = node.logRegion().key;
         wr.remoteAddr = node.logRegion().base +
                         static_cast<Addr>(s.slot) * ring.slotBytes;
         wr.length = s.log.size();
-        wrOwner_[wr.wrId] = &s;
         PostResult posted = qps_.to(s.node).post(wr, s.timeline);
         KONA_ASSERT(posted.cqesPushed == 1,
                     "eviction post must push exactly one CQE");
     } else {
-        for (const WorkRequest &wr : s.chain)
-            wrOwner_[wr.wrId] = &s;
         PostResult posted = qps_.to(s.node).postLinked(s.chain,
                                                     s.timeline);
         KONA_ASSERT(posted.cqesPushed == 1,
@@ -435,15 +511,17 @@ EvictionHandler::reapCq()
 void
 EvictionHandler::handleCompletion(const WorkCompletion &wc)
 {
-    auto owner = wrOwner_.find(wc.wrId);
-    KONA_ASSERT(owner != wrOwner_.end(),
+    auto owner = std::find_if(
+        shipments_.begin(), shipments_.end(),
+        [&wc](const Shipment &s) { return s.owns(wc.wrId); });
+    KONA_ASSERT(owner != shipments_.end(),
                 "eviction CQE for unknown work request ", wc.wrId);
-    Shipment &s = *owner->second;
-    wrOwner_.erase(owner);
+    Shipment &s = *owner;
+    s.posted = false;
 
     const LatencyConfig &lat = fpga_.latency();
-    NodeRing &ring = ringFor(s.node);
-    std::uint32_t lane = batches_.at(s.batchId).lane;
+    NodeSlot &ring = nodes_[s.node];
+    std::uint32_t lane = batchById(s.batchId).lane;
     poller_.complete(wc, s.timeline);
     ring.wireFreeAt = std::max(ring.wireFreeAt, wc.completeAt);
     breakdown_.rdmaNs +=
@@ -456,13 +534,13 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
         // (so recovery evidence keeps flowing) but no retry storm —
         // its missed copies are stale-marked at finalize instead.
         controller_.reportOpFailure(s.node);
-        if (fabric_.nodeDown(s.node) || !s.retry.shouldRetry() ||
+        if (fabric_.nodeDown(s.node) || !s.retry->shouldRetry() ||
             controller_.health(s.node) == NodeHealth::Quarantined) {
             settleShipment(s, false);
             return;
         }
         const Tick backoffStart = s.timeline.now();
-        s.retry.backoff(s.timeline);
+        s.retry->backoff(s.timeline);
         s.comp[EvictComponent::Retry] += s.timeline.now() - backoffStart;
         postShipment(s);
         return;
@@ -522,12 +600,12 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
     if (!receipt.ok) {
         naks_.add();
         controller_.observeNak(s.node);
-        if (!s.retry.shouldRetry()) {
+        if (!s.retry->shouldRetry()) {
             settleShipment(s, false);
             return;
         }
         const Tick backoffStart = s.timeline.now();
-        s.retry.backoff(s.timeline);
+        s.retry->backoff(s.timeline);
         s.comp[EvictComponent::Retry] += s.timeline.now() - backoffStart;
         postShipment(s);
         return;
@@ -560,25 +638,20 @@ EvictionHandler::finalizeDue(Tick now)
             ++it;
             continue;
         }
-        NodeRing &ring = ringFor(s.node);
+        NodeSlot &ring = nodes_[s.node];
         if (ring.owner[s.slot] == s.id)
             ring.owner[s.slot] = 0;
-        // Unsignaled chain WRs never produce CQEs; purge their
-        // ownership entries before the shipment dies.
-        for (const WorkRequest &wr : s.chain)
-            wrOwner_.erase(wr.wrId);
-        Batch &batch = batches_.at(s.batchId);
+        Batch &batch = batchById(s.batchId);
         if (s.succeeded)
             batch.reached.push_back(s.node);
         batch.lastDone = std::max(batch.lastDone, s.doneAt);
         --batch.outstanding;
         bool batchDone = batch.outstanding == 0 && !batch.open;
-        std::uint64_t batchId = s.batchId;
-        it = shipments_.erase(it);
+        it = retireShipment(it);
         inflight_.set(static_cast<double>(shipments_.size()));
         if (batchDone) {
-            finalizeBatch(batches_.at(batchId));
-            batches_.erase(batchId);
+            finalizeBatch(batch);
+            retireBatch(batch.id);
             ++batchesFinalized;
         }
     }
@@ -592,10 +665,16 @@ EvictionHandler::finalizeBatch(Batch &batch)
     // the packed mask of pages that reached none (their lines must
     // ship again later); re-queue pages written while in flight.
     for (const PackedPage &page : batch.pages) {
+        auto frame = fpga_.fmem().frameOf(page.vpn);
+        KONA_ASSERT(frame.has_value(), "fenced page ", page.vpn,
+                    " left FMem before its batch finalized");
+        inflightBatch_[*frame] = 0;
         fpga_.setEvictionInFlight(page.vpn, false);
-        inflightPage_.erase(page.vpn);
         bool safe = fpga_.replicas().settle(
-            page.vpn, batch.homes[page.vpn], batch.reached, page.mask,
+            page.vpn,
+            std::span<const NodeId>(batch.homes)
+                .subspan(page.firstHome, page.homeCount),
+            batch.reached, page.mask,
             [&](NodeId home) {
                 staleMarks_.add();
                 if (config_.journal != nullptr)
@@ -655,10 +734,9 @@ EvictionHandler::drain(SimClock &clock)
                 return;
             // Pages re-dirtied while in flight go around again until
             // the engine is quiescent.
-            EvictionRequest again;
-            again.vpns.assign(requeue_.begin(), requeue_.end());
+            requeueVpns_.assign(requeue_.begin(), requeue_.end());
             requeue_.clear();
-            submit(again, clock);
+            submitPages(requeueVpns_, clock);
             continue;
         }
         auto next =
@@ -690,22 +768,25 @@ EvictionHandler::drainNode(NodeId node, SimClock &clock)
 bool
 EvictionHandler::complete(BatchTicket ticket) const
 {
-    return ticket.valid() && batches_.find(ticket.id) == batches_.end();
+    return ticket.valid() &&
+           std::none_of(batches_.begin(), batches_.end(),
+                        [&ticket](const Batch &b) {
+                            return b.id == ticket.id;
+                        });
 }
 
 void
 EvictionHandler::evictPage(Addr vpn, SimClock &clock)
 {
-    evictBatch({vpn}, clock);
+    submitPages({&vpn, 1}, clock);
+    drain(clock);
 }
 
 void
 EvictionHandler::evictBatch(const std::vector<Addr> &vpns,
                             SimClock &clock)
 {
-    EvictionRequest req;
-    req.vpns = vpns;
-    submit(req, clock);
+    submitPages(vpns, clock);
     drain(clock);
 }
 
@@ -720,9 +801,7 @@ EvictionHandler::flushPage(Addr vpn, SimClock &clock)
     // in the invalidation path the holder is stalled, so one round is
     // the norm.
     for (int round = 0; round < 4 && fpga_.pageResident(vpn); ++round) {
-        EvictionRequest req;
-        req.vpns.push_back(vpn);
-        submit(req, clock);
+        submitPages({&vpn, 1}, clock);
         awaitPageIdle(vpn, clock);
         // Any re-queue entry is ours now: the next round (or the fact
         // that the page dropped) supersedes it.
@@ -742,6 +821,15 @@ EvictionHandler::pump(SimClock &backgroundClock, std::size_t freeWays)
     if (owed == 0)
         return;
     if (owed > victimBuf_.size()) {
+        // The buffer's size steers which victims the first call
+        // selects, so it grows exactly as before; its capacity goes
+        // straight to the most any pump can owe, so later growth is
+        // allocation-free.
+        const FMemCache &fmem = fpga_.fmem();
+        const std::size_t most =
+            fmem.numSets() * std::min(freeWays, fmem.associativity());
+        victimBuf_.reserve(std::max(most, owed));
+        pumpVpns_.reserve(victimBuf_.capacity());
         victimBuf_.resize(owed);
         owed = fpga_.backgroundVictims(freeWays, victimBuf_.data(),
                                        victimBuf_.size());

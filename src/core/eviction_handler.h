@@ -30,16 +30,17 @@
 #ifndef KONA_CORE_EVICTION_HANDLER_H
 #define KONA_CORE_EVICTION_HANDLER_H
 
+#include <deque>
 #include <list>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "fpga/coherent_fpga.h"
 #include "net/retry_policy.h"
+#include "rack/cl_log.h"
 #include "rack/controller.h"
 #include "telemetry/attribution.h"
 #include "telemetry/event_journal.h"
@@ -275,6 +276,9 @@ class EvictionHandler
     {
         Addr vpn;
         std::uint64_t mask;   ///< dirty mask captured (and cleared) at pack
+        /** The page's homes: Batch::homes[firstHome, +homeCount). */
+        std::uint32_t firstHome = 0;
+        std::uint32_t homeCount = 0;
     };
 
     /** An in-flight batch: pages + the shipments carrying them. */
@@ -282,7 +286,7 @@ class EvictionHandler
     {
         std::uint64_t id = 0;
         std::vector<PackedPage> pages;
-        std::map<Addr, std::vector<NodeId>> homes;
+        std::vector<NodeId> homes;     ///< every packed page's homes
         std::vector<NodeId> reached;   ///< nodes whose shipment landed
         std::size_t outstanding = 0;   ///< unfinalized shipments
         bool open = true;              ///< submit() still posting
@@ -295,21 +299,19 @@ class EvictionHandler
     /** One payload on the wire to one node (one ring slot). */
     struct Shipment
     {
-        Shipment(const RetryPolicy &policy, std::uint64_t seed)
-            : retry(policy, seed)
-        {}
-
         std::uint64_t id = 0;
         std::uint64_t batchId = 0;
         NodeId node = 0;
         std::size_t slot = 0;
         bool clLog = true;
+        bool posted = false;   ///< a post awaits its CQE
+        std::uint64_t wrId = 0;               ///< ClLog: the live post
         std::vector<std::uint8_t> log;        ///< ClLog payload
         std::vector<WorkRequest> chain;       ///< FullPage doorbell
         std::vector<std::unique_ptr<std::vector<std::uint8_t>>>
             pageCopies;                       ///< FullPage staging
         SimClock timeline;    ///< this shipment's logical thread
-        RetryState retry;
+        std::optional<RetryState> retry;
         std::uint64_t sends = 0;
         Tick wireStart = 0;
         Tick attrStart = 0;   ///< timeline at submission (attribution)
@@ -319,19 +321,69 @@ class EvictionHandler
         Tick doneAt = 0;      ///< ack time (valid once acked)
         bool acked = false;   ///< outcome decided, awaiting finalize
         bool succeeded = false;
+
+        /** Whether the CQE of work request @p id belongs to the live
+         *  post (a chain's error CQE names the WR that failed). */
+        bool
+        owns(std::uint64_t id) const
+        {
+            if (!posted)
+                return false;
+            if (clLog)
+                return wrId == id;
+            for (const WorkRequest &wr : chain) {
+                if (wr.wrId == id)
+                    return true;
+            }
+            return false;
+        }
     };
 
-    /** Per-node landing-area ring + serialization points. */
-    struct NodeRing
+    /**
+     * Per memory node, reused across batches: its landing-area ring,
+     * the serialization points of its link and receiver thread, and
+     * the payload the batch being packed is building for it.
+     */
+    struct NodeSlot
     {
-        std::size_t slots = 1;
+        std::size_t slots = 0;              ///< ring slots (0: unused)
         std::size_t slotBytes = 0;
         std::vector<std::uint64_t> owner;   ///< shipment id, 0 = free
         Tick wireFreeAt = 0;   ///< the node's link frees up
         Tick recvFreeAt = 0;   ///< the node's receiver thread frees up
+
+        bool packing = false;  ///< the open batch has a payload here
+        std::optional<ClLogWriter> writer;  ///< builds + checksums log
+        std::vector<std::uint8_t> log;      ///< ClLog payload
+        std::vector<WorkRequest> chain;     ///< FullPage doorbell
+        std::vector<std::unique_ptr<std::vector<std::uint8_t>>>
+            pageCopies;                     ///< FullPage staging
     };
 
-    NodeRing &ringFor(NodeId node);
+    /** @p node's slot, setting up its ring on first use. */
+    NodeSlot &nodeSlot(NodeId node);
+
+    /** Pack and post @p vpns (chunked as submit() describes). */
+    BatchTicket submitPages(std::span<const Addr> vpns, SimClock &clock);
+
+    /** A fresh live batch at the end of batches_ (a recycled slot
+     *  when one is spare). */
+    Batch &openBatch();
+
+    /** The live batch @p id. */
+    Batch &batchById(std::uint64_t id);
+
+    /** Move finalized batch @p id to the spares. */
+    void retireBatch(std::uint64_t id);
+
+    /** A new shipment at the end of shipments_ (a recycled slot, whose
+     *  buffers keep their capacity, when one is spare), retrying with
+     *  @p seed. */
+    Shipment &takeShipment(std::uint64_t seed);
+
+    /** Move finalized shipment @p it to the spares; returns the next. */
+    std::list<Shipment>::iterator
+    retireShipment(std::list<Shipment>::iterator it);
 
     /** Largest batch whose worst-case log fits every node's ring slot. */
     std::size_t batchPageLimit() const;
@@ -391,17 +443,33 @@ class EvictionHandler
     CompletionQueue cq_;
     Poller poller_;
     QueuePairs qps_;
-    std::map<NodeId, NodeRing> rings_;
+    /** Indexed by NodeId. A deque, so growing it for a new node keeps
+     *  every slot, and the log buffer its writer points at, in place. */
+    std::deque<NodeSlot> nodes_;
 
+    /** Live shipments in post order, and finalized ones kept for
+     *  reuse; a CQE finds its shipment by scanning the live ones (at
+     *  most pipelineDepth per node). */
     std::list<Shipment> shipments_;
-    std::unordered_map<std::uint64_t, Shipment *> wrOwner_;
-    std::map<std::uint64_t, Batch> batches_;
-    std::unordered_map<Addr, std::uint64_t> inflightPage_;
+    std::list<Shipment> spareShipments_;
+    /** Live batches in submit order, and finalized ones for reuse. */
+    std::list<Batch> batches_;
+    std::list<Batch> spareBatches_;
+    /** Per FMem frame: the batch shipping its page (0: none). A fenced
+     *  page keeps its frame until its batch finalizes. */
+    std::vector<std::uint64_t> inflightBatch_;
     std::set<Addr> requeue_;   ///< re-dirtied while in flight
 
-    /** pump() scratch, reused so the steady state never allocates. */
+    /** pump() and drain() scratch, reused so the steady state never
+     *  allocates. */
     std::vector<FMemCache::Victim> victimBuf_;
     std::vector<Addr> pumpVpns_;
+    std::vector<Addr> requeueVpns_;
+    /** Capacity every log buffer gets before packing: the largest log
+     *  so far, rounded up to a power of two. The buffers rotate
+     *  between node slots and shipments, and sharing one capacity
+     *  keeps each of them from regrowing on its own. */
+    std::size_t logCapacity_ = 0;
 
     std::uint64_t nextWrId_ = 0x10000000;
     std::uint64_t nextBatchId_ = 1;

@@ -15,7 +15,7 @@ CoherentFpga::CoherentFpga(Fabric &fabric, NodeId computeNode,
       scope_(std::move(scope)),
       fmem_(config.fmemSize, config.fmemAssociativity,
             scope_.sub("fmem"), config.victimPolicy),
-      fmemStore_(config.fmemSize), snoopFilter_(fmem_.frames(), 0),
+      fmemStore_(config.fmemSize), frameLines_(fmem_.frames()),
       replicas_(fabric, controller, translation_, scope_),
       poller_(fabric.latency()), qps_(fabric, computeNode, cq_, scope_),
       prefetcher_(makePrefetcher(config.prefetchPolicy)),
@@ -55,7 +55,7 @@ CoherentFpga::CoherentFpga(Fabric &fabric, NodeId computeNode,
     // carry unwritten lines; the probe is only consulted when the
     // configured policy declares wantsDirty().
     fmem_.setDirtyProbe(
-        [this](Addr vpn) { return dirtyLines_.pageMask(vpn) != 0; });
+        [this](Addr vpn) { return dirtyMask(vpn) != 0; });
 }
 
 ServeStatus
@@ -77,7 +77,7 @@ CoherentFpga::serveLine(Addr lineAddr, AccessType type, SimClock &clock)
     if (tiering_ != nullptr)
         tiering_->observe(vpn, clock.now());
     if (auto frame = fmem_.lookup(vpn)) {
-        snoopFilter_[*frame] |= lineBit;
+        frameLines_[*frame].snooped |= lineBit;
         clock.advance(static_cast<Tick>(lat.fmemNs));
         if (missAttr_ != nullptr)
             missAttr_->charge(MissComponent::FmemCheck,
@@ -117,7 +117,7 @@ CoherentFpga::serveLine(Addr lineAddr, AccessType type, SimClock &clock)
         return ServeStatus::RemoteUnavailable;
     }
     fetchNs_.record(static_cast<double>(clock.now() - fetchStart));
-    snoopFilter_[*fmem_.frameOf(vpn)] |= lineBit;
+    frameLines_[*fmem_.frameOf(vpn)].snooped |= lineBit;
     clock.advance(static_cast<Tick>(lat.fmemNs));
     if (missAttr_ != nullptr)
         missAttr_->charge(MissComponent::FmemCheck,
@@ -179,6 +179,8 @@ CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FillOrigin origin,
     // store; the injector turns a corrupted read into a drop), so a
     // failed walk leaves the set as it found it.
     const std::size_t frame = fmem_.nextFrame(vpn);
+    KONA_ASSERT(frameLines_[frame].dirty == 0, "frame ", frame,
+                " carries a dirty mask into page ", vpn);
     std::uint8_t *page =
         fmemStore_.pagePointer(static_cast<Addr>(frame) * pageSize);
     auto readCopy = [&](const RemoteLocation &loc) -> std::optional<Tick> {
@@ -319,7 +321,38 @@ CoherentFpga::onWriteback(Addr lineAddr)
     if (!inVFMem(lineAddr))
         return;
     writebacksObserved_.add();
-    dirtyLines_.markLine(lineAddr);
+    frameLines_[dirtyFrame(pageNumber(lineAddr))].dirty |=
+        std::uint64_t{1} << lineInPage(lineAddr);
+}
+
+std::size_t
+CoherentFpga::dirtyFrame(Addr vpn) const
+{
+    auto frame = fmem_.frameOf(vpn);
+    KONA_ASSERT(frame.has_value(),
+                "dirty mark on non-resident VFMem page ", vpn);
+    return *frame;
+}
+
+void
+CoherentFpga::markDirtyRange(Addr vfmemAddr, std::size_t size)
+{
+    if (size == 0)
+        return;
+    const Addr firstLine = vfmemAddr / cacheLineSize;
+    const Addr lastLine = (vfmemAddr + size - 1) / cacheLineSize;
+    // One mask OR per page: lines lo..hi of each page the range spans.
+    for (Addr vpn = firstLine / linesPerPage;
+         vpn <= lastLine / linesPerPage; ++vpn) {
+        Addr lo = vpn == firstLine / linesPerPage
+                      ? firstLine % linesPerPage
+                      : 0;
+        Addr hi = vpn == lastLine / linesPerPage
+                      ? lastLine % linesPerPage
+                      : linesPerPage - 1;
+        frameLines_[dirtyFrame(vpn)].dirty |=
+            (~std::uint64_t{0} >> (linesPerPage - 1 - (hi - lo))) << lo;
+    }
 }
 
 void
@@ -367,7 +400,7 @@ CoherentFpga::snoopPage(Addr vpn)
     auto frame = fmem_.frameOf(vpn);
     if (!frame.has_value())
         return;
-    std::uint64_t lines = std::exchange(snoopFilter_[*frame], 0);
+    std::uint64_t lines = std::exchange(frameLines_[*frame].snooped, 0);
     if (lines != 0 && cpuCaches_ != nullptr)
         cpuCaches_->snoopLines(vpn, lines);
 }
@@ -377,8 +410,12 @@ CoherentFpga::dropPage(Addr vpn)
 {
     // A line left cached past the drop would hit without reaching
     // serveLine(), so the page would never be fetched back. The snoop
-    // also leaves the frame's filter clear for its next page.
+    // also leaves the frame's filter clear for its next page; the
+    // caller already shipped or found no dirty lines, so the frame's
+    // dirty mask is clear too.
     snoopPage(vpn);
+    KONA_ASSERT(dirtyMask(vpn) == 0, "page ", vpn,
+                " dropped with unshipped dirty lines");
     // A page leaving FMem with its speculative tag intact was never
     // demand-touched: the fill was wasted bandwidth, attributed to
     // whichever engine issued it.

@@ -12,7 +12,8 @@
  *    page fetch from the owning memory node over RDMA (evicting an FMem
  *    victim through the runtime's eviction callback if the set is full).
  *  - track-local-data: onWriteback() observes dirty-line writebacks
- *    from the CPU hierarchy and records them in per-page bitmaps.
+ *    from the CPU hierarchy and records them in the dirty-line mask of
+ *    the page's FMem frame.
  *
  * Functional data: the authoritative bytes of a resident VFMem page
  * live in the FMem backing store; non-resident pages live on their
@@ -28,7 +29,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
 #include "cache/hierarchy.h"
 #include "common/latency.h"
@@ -36,7 +36,6 @@
 #include "fpga/fmem_cache.h"
 #include "fpga/remote_translation.h"
 #include "mem/backing_store.h"
-#include "mem/dirty_bitmap.h"
 #include "net/queue_pair.h"
 #include "net/shard_gate.h"
 #include "prefetch/prefetch_queue.h"
@@ -176,29 +175,40 @@ class CoherentFpga : public MemorySideListener
     /** Whether VFMem page @p vpn is resident in FMem. */
     bool pageResident(Addr vpn) const { return fmem_.contains(vpn); }
 
-    /** Dirty-line mask of VFMem page @p vpn (tracking primitive). */
+    /**
+     * Dirty-line mask of VFMem page @p vpn (tracking primitive), kept
+     * in the page's FMem frame; 0 when the page is absent.
+     */
     std::uint64_t dirtyMask(Addr vpn) const
     {
-        return dirtyLines_.pageMask(vpn);
+        auto frame = fmem_.frameOf(vpn);
+        return frame.has_value() ? frameLines_[*frame].dirty : 0;
     }
 
     /** Clear tracking state for @p vpn (after writeback). */
-    void clearDirty(Addr vpn) { dirtyLines_.clearPage(vpn); }
+    void clearDirty(Addr vpn)
+    {
+        if (auto frame = fmem_.frameOf(vpn))
+            frameLines_[*frame].dirty = 0;
+    }
 
     /**
      * Restore a previously packed dirty mask (failed eviction
      * shipment): OR the lines back so they ship again next time.
+     * Panics when a non-zero @p mask targets a non-resident page.
      */
     void orDirtyMask(Addr vpn, std::uint64_t mask)
     {
-        dirtyLines_.orMask(vpn, mask);
+        if (mask != 0)
+            frameLines_[dirtyFrame(vpn)].dirty |= mask;
     }
 
-    /** Mark lines dirty directly (used when emulating via snapshots). */
-    void markDirtyRange(Addr vfmemAddr, std::size_t size)
-    {
-        dirtyLines_.markRange(vfmemAddr, size);
-    }
+    /**
+     * Mark the lines of [@p vfmemAddr, +@p size) dirty directly (the
+     * runtime's emulated tracking). Every page of the range must be
+     * resident.
+     */
+    void markDirtyRange(Addr vfmemAddr, std::size_t size);
 
     /**
      * Fence of the pipelined eviction engine: a fenced page's frame
@@ -229,21 +239,22 @@ class CoherentFpga : public MemorySideListener
     std::uint64_t snoopFilter(Addr vpn) const
     {
         auto frame = fmem_.frameOf(vpn);
-        return frame.has_value() ? snoopFilter_[*frame] : 0;
+        return frame.has_value() ? frameLines_[*frame].snooped : 0;
     }
 
     /**
      * Snoop page @p vpn out of the CPU caches (§4.4): flush the lines
      * its snoop filter names, in ascending order, and clear the filter.
-     * Dirty lines reach the dirty bitmap through onWriteback(). No-op
-     * when the page is absent.
+     * Dirty lines reach the frame's dirty mask through onWriteback().
+     * No-op when the page is absent.
      */
     void snoopPage(Addr vpn);
 
     /**
      * Remove a page from FMem (its frame becomes free). The caller has
      * already written dirty lines back; the page's remaining (clean)
-     * lines are snooped out of the CPU caches first.
+     * lines are snooped out of the CPU caches first. Panics when the
+     * page still has a dirty mask after that snoop.
      */
     void dropPage(Addr vpn);
 
@@ -394,19 +405,34 @@ class CoherentFpga : public MemorySideListener
     /** First-touch attribution of a resident page (useful prefetch). */
     void noteDemandTouch(Addr vpn, SimClock &clock);
 
+    /** Frame of resident page @p vpn, which a dirty mark targets;
+     *  panics when the page is absent. */
+    std::size_t dirtyFrame(Addr vpn) const;
+
+    /**
+     * Per FMem frame, bit i = line i of the frame's page. A frame's
+     * masks belong to the page it holds: no mark reaches an absent
+     * page, no page leaves with dirty lines, and so no frame carries
+     * a mask into its next page.
+     */
+    struct FrameLines
+    {
+        std::uint64_t snooped = 0;   ///< served to the CPU caches since
+                                     ///< the page was last snooped
+        std::uint64_t dirty = 0;     ///< written since the page's last
+                                     ///< shipment
+    };
+
     Fabric &fabric_;
     NodeId computeNode_;
     FpgaConfig config_;
     MetricScope scope_;
     FMemCache fmem_;
     BackingStore fmemStore_;
-    /** Per FMem frame: lines served to the CPU caches since the
-     *  frame's page was last snooped (bit i = line i). */
-    std::vector<std::uint64_t> snoopFilter_;
+    std::vector<FrameLines> frameLines_;
     CacheHierarchy *cpuCaches_ = nullptr;
     RemoteTranslation translation_;
     ReplicaWalker replicas_;
-    DirtyLineBitmap dirtyLines_;
     EvictionCallback evictionCallback_;
     DropHook dropHook_;
     PageGovernor pageGovernor_;

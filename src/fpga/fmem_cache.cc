@@ -1,5 +1,6 @@
 #include "fpga/fmem_cache.h"
 
+#include <bit>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -23,8 +24,11 @@ FMemCache::FMemCache(std::size_t sizeBytes, std::size_t associativity,
     frames_ = sizeBytes / pageSize;
     numSets_ = frames_ / assoc_;
     KONA_ASSERT(numSets_ > 0, "FMem too small");
+    pow2Sets_ = std::has_single_bit(numSets_);
     ways_.resize(frames_);
     used_.assign(numSets_, 0);
+    setsAtOccupancy_.assign(assoc_ + 1, 0);
+    setsAtOccupancy_[0] = numSets_;
     // Every slot starts invalid, parking one free frame. Descending
     // order preserves the historical allocation order (the list-based
     // store handed out the highest way first), so frame placement is
@@ -105,6 +109,8 @@ FMemCache::insert(Addr vpn, FillOrigin origin, Tick tick)
     std::uint32_t touches = origin == FillOrigin::Demand ? 1 : 0;
     set[0] = {vpn, frame, origin, tick, touches, false};
     used_[si] = static_cast<std::uint32_t>(used + 1);
+    --setsAtOccupancy_[used];
+    ++setsAtOccupancy_[used + 1];
     ++resident_;
     return frame;
 }
@@ -253,6 +259,8 @@ FMemCache::remove(Addr vpn)
     // The newly invalid slot parks the freed frame.
     set[used - 1].frame = frame;
     used_[si] = static_cast<std::uint32_t>(used - 1);
+    --setsAtOccupancy_[used];
+    ++setsAtOccupancy_[used - 1];
     --resident_;
 }
 
@@ -290,8 +298,16 @@ std::size_t
 FMemCache::overOccupiedVictims(std::size_t freeWays, Victim *out,
                                std::size_t cap) const
 {
-    // Count first: the common case (every set has room) must return
-    // without selecting anything.
+    // Only a set holding more than assoc - freeWays pages can owe a
+    // victim; when none does (the resident steady state), return
+    // before visiting a set.
+    std::size_t mostWithRoom = freeWays < assoc_ ? assoc_ - freeWays : 0;
+    std::size_t crowded = 0;
+    for (std::size_t k = mostWithRoom + 1; k <= assoc_; ++k)
+        crowded += setsAtOccupancy_[k];
+    if (crowded == 0)
+        return 0;
+    // Count first: a pump owed nothing selects nothing.
     std::size_t total = 0;
     for (std::size_t si = 0; si < numSets_; ++si)
         total += setVictims(si, freeWays, nullptr, 0);
@@ -345,7 +361,10 @@ FMemCache::checkInvariants() const
             }
         }
     }
-    return resident == resident_;
+    std::vector<std::size_t> occupancy(assoc_ + 1, 0);
+    for (std::size_t si = 0; si < numSets_; ++si)
+        ++occupancy[used_[si]];
+    return resident == resident_ && occupancy == setsAtOccupancy_;
 }
 
 } // namespace kona

@@ -207,7 +207,13 @@ class FMemCache
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-    std::size_t setOf(Addr vpn) const { return vpn % numSets_; }
+    /** A mask when the set count is a power of two, else a division
+     *  (FMem sized to a multiple of 4 pages can have any set count). */
+    std::size_t setOf(Addr vpn) const
+    {
+        return static_cast<std::size_t>(
+            pow2Sets_ ? vpn & (numSets_ - 1) : vpn % numSets_);
+    }
 
     Way *setBase(std::size_t si) { return ways_.data() + si * assoc_; }
     const Way *setBase(std::size_t si) const
@@ -236,6 +242,7 @@ class FMemCache
     MetricScope scope_;
     std::size_t assoc_;
     std::size_t numSets_;
+    bool pow2Sets_;
     std::size_t frames_;
     std::size_t resident_ = 0;
     /** numSets * assoc slots; set s's resident ways are the prefix
@@ -243,6 +250,9 @@ class FMemCache
      *  the tail slots each park one free frame number. */
     std::vector<Way> ways_;
     std::vector<std::uint32_t> used_;
+    /** setsAtOccupancy_[k]: how many sets hold exactly k pages, so a
+     *  pump with nothing owed returns without visiting a set. */
+    std::vector<std::size_t> setsAtOccupancy_;
     std::unique_ptr<VictimPolicy> policy_;
     std::function<bool(Addr)> dirtyProbe_;
     std::function<bool(Addr)> governedProbe_;

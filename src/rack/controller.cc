@@ -1,6 +1,7 @@
 #include "rack/controller.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -138,14 +139,13 @@ Controller::node(NodeId id) const
     return *it->second;
 }
 
-std::vector<NodeId>
-Controller::nodeIds() const
+std::size_t
+Controller::minLogSlotBytes(std::size_t slots) const
 {
-    std::vector<NodeId> ids;
-    ids.reserve(nodes_.size());
+    std::size_t least = std::numeric_limits<std::size_t>::max();
     for (const auto &[id, node] : nodes_)
-        ids.push_back(id);
-    return ids;
+        least = std::min(least, node->logSlotBytes(slots));
+    return least;
 }
 
 std::size_t

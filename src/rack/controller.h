@@ -156,8 +156,12 @@ class Controller
     /** The registered memory node @p id (fatal if unknown). */
     MemoryNode &node(NodeId id) const;
 
-    /** Ids of every registered node (any health), unordered. */
-    std::vector<NodeId> nodeIds() const;
+    /**
+     * Smallest landing-area ring slot over every registered node (any
+     * health) when each carves its log area into @p slots; SIZE_MAX
+     * when no node is registered.
+     */
+    std::size_t minLogSlotBytes(std::size_t slots) const;
 
     std::size_t slabSize() const { return slabSize_; }
     std::size_t nodeCount() const { return nodes_.size(); }

@@ -1,5 +1,7 @@
 #include "rack/memory_node.h"
 
+#include <bit>
+
 #include "common/logging.h"
 
 namespace kona {
@@ -41,8 +43,14 @@ MemoryNode::receiveLog(Addr logOffset, std::size_t logBytes)
     LogReceiptStats stats;
 
     // Pull the serialized log out of the landing area, then distribute.
-    std::vector<std::uint8_t> log(logBytes);
-    store_->read(logRegion_.base + logOffset, log.data(), logBytes);
+    // Power-of-two capacity: the buffer regrows only when a log
+    // doubles the largest so far.
+    if (logBuf_.size() < logBytes) {
+        logBuf_.reserve(std::bit_ceil(logBytes));
+        logBuf_.resize(logBytes);
+    }
+    const std::uint8_t *log = logBuf_.data();
+    store_->read(logRegion_.base + logOffset, logBuf_.data(), logBytes);
 
     const LatencyConfig &lat = fabric_.latency();
     stats.unpackNs += lat.logCrcPerKbNs *
@@ -52,7 +60,7 @@ MemoryNode::receiveLog(Addr logOffset, std::size_t logBytes)
     // header can also destroy the framing of everything after it, so a
     // partially-applied log is never acceptable — NAK the whole thing
     // and let the sender retransmit.
-    ClLogReader verify(log.data(), log.size());
+    ClLogReader verify(log, logBytes);
     while (!verify.atEnd()) {
         ClLogEntryHeader header;
         const std::uint8_t *payload = nullptr;
@@ -69,7 +77,7 @@ MemoryNode::receiveLog(Addr logOffset, std::size_t logBytes)
     }
 
     // Pass 2: the log checks out; distribute the lines home.
-    ClLogReader reader(log.data(), log.size());
+    ClLogReader reader(log, logBytes);
     while (!reader.atEnd()) {
         const std::uint8_t *payload = nullptr;
         ClLogEntryHeader header = reader.next(payload);

@@ -10,6 +10,7 @@
 #define KONA_RACK_MEMORY_NODE_H
 
 #include <memory>
+#include <vector>
 
 #include "common/latency.h"
 #include "common/sim_clock.h"
@@ -106,6 +107,10 @@ class MemoryNode
     RegionAllocator slabs_;
     MemoryRegion slabRegion_;
     MemoryRegion logRegion_;
+    /** receiveLog()'s copy of the log, reused from log to log. Node
+     *  state changes only in gated sections, one at a time, so the
+     *  parallel engine never unpacks two logs on a node at once. */
+    std::vector<std::uint8_t> logBuf_;
     Counter &linesReceived_;
     Counter &logsRejected_;
     LatencyHistogram &unpackNs_;

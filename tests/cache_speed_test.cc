@@ -7,8 +7,10 @@
  * list-/map-based implementations alive as reference models and drive
  * both through long randomized traces, asserting that every
  * observable — hit/miss outcomes, victim sequences, writeback counts,
- * flush/invalidate results, frame placement, dirty-line totals —
- * matches the historical behaviour exactly.
+ * flush/invalidate results, frame placement, dirty-line masks —
+ * matches the historical behaviour exactly. The cache and FMem
+ * geometries include set counts that are not powers of two, so both
+ * set-index paths (mask and division) meet the reference.
  *
  * The last oracle is an invariant rather than a reference model: on
  * randomized runs of the whole Kona stack, the FPGA's per-frame snoop
@@ -18,10 +20,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <bit>
 #include <cstring>
 #include <list>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -31,7 +32,6 @@
 #include "common/rng.h"
 #include "core/kona_runtime.h"
 #include "fpga/fmem_cache.h"
-#include "mem/dirty_bitmap.h"
 #include "rack/multi_rack.h"
 
 namespace kona {
@@ -264,7 +264,9 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffGeometry{16, 8, 64},
                       DiffGeometry{64, 16, 64},
                       DiffGeometry{8, 4, 4096},
-                      DiffGeometry{2, 4, 1024}));
+                      DiffGeometry{2, 4, 1024},
+                      DiffGeometry{3, 2, 64},
+                      DiffGeometry{134, 4, 64}));
 
 // ---------------------------------------------------------------------
 // Legacy list-based FMemCache reference (per-set std::list plus
@@ -426,13 +428,18 @@ class ListFMemRef
     std::vector<std::vector<std::size_t>> freeFrames_;
 };
 
-TEST(FMemDifferential, MatchesLegacyListImplementation)
+class FMemDifferential : public ::testing::TestWithParam<std::size_t>
 {
-    constexpr std::size_t sizeBytes = 16 * 4 * pageSize;  // 16 sets
+};
+
+TEST_P(FMemDifferential, MatchesLegacyListImplementation)
+{
+    const std::size_t sets = GetParam();
+    const std::size_t sizeBytes = sets * 4 * pageSize;
     FMemCache fmem(sizeBytes, 4);
     ListFMemRef ref(sizeBytes, 4);
     Rng rng(0xf3e1ull);
-    constexpr Addr vpnSpan = 16 * 4 * 3;   // 3x capacity
+    const Addr vpnSpan = sets * 4 * 3;   // 3x capacity
 
     for (int i = 0; i < 20000; ++i) {
         Addr vpn = rng.below(vpnSpan);
@@ -493,77 +500,8 @@ TEST(FMemDifferential, MatchesLegacyListImplementation)
     EXPECT_EQ(fmem.misses(), ref.misses);
 }
 
-// ---------------------------------------------------------------------
-// DirtyLineBitmap: the incremental dirty-line count must equal a full
-// recount after any mutation sequence.
-// ---------------------------------------------------------------------
-
-std::uint64_t
-recount(const DirtyLineBitmap &bitmap)
-{
-    std::uint64_t total = 0;
-    for (const auto &[pn, mask] : bitmap.pages())
-        total += static_cast<std::uint64_t>(std::popcount(mask));
-    return total;
-}
-
-TEST(DirtyBitmapDifferential, IncrementalCountMatchesRecount)
-{
-    DirtyLineBitmap bitmap;
-    std::unordered_map<Addr, std::uint64_t> shadow;
-    Rng rng(0xb17ull);
-    constexpr Addr span = 64 * pageSize;
-
-    for (int i = 0; i < 20000; ++i) {
-        double dice = rng.uniform();
-        if (dice < 0.45) {
-            Addr addr = rng.below(span);
-            bitmap.markLine(addr);
-            shadow[pageNumber(addr)] |= 1ULL << lineInPage(addr);
-        } else if (dice < 0.75) {
-            Addr addr = rng.below(span);
-            std::size_t size = 1 + rng.below(3 * pageSize);
-            size = std::min<std::size_t>(size, span - addr);
-            bitmap.markRange(addr, size);
-            if (size > 0) {
-                Addr first = alignDown(addr, cacheLineSize);
-                Addr last = alignDown(addr + size - 1, cacheLineSize);
-                for (Addr line = first; line <= last;
-                     line += cacheLineSize)
-                    shadow[pageNumber(line)] |= 1ULL
-                                                << lineInPage(line);
-            }
-        } else if (dice < 0.85) {
-            Addr pn = rng.below(span / pageSize);
-            std::uint64_t mask = rng.next();
-            bitmap.orMask(pn, mask);
-            if (mask != 0)
-                shadow[pn] |= mask;
-        } else if (dice < 0.97) {
-            Addr pn = rng.below(span / pageSize);
-            std::uint64_t got = bitmap.clearPage(pn);
-            std::uint64_t want = 0;
-            auto it = shadow.find(pn);
-            if (it != shadow.end()) {
-                want = it->second;
-                shadow.erase(it);
-            }
-            ASSERT_EQ(got, want) << "clear #" << i;
-        } else {
-            Addr pn = rng.below(span / pageSize);
-            auto it = shadow.find(pn);
-            ASSERT_EQ(bitmap.pageMask(pn),
-                      it == shadow.end() ? 0 : it->second);
-        }
-        ASSERT_EQ(bitmap.totalDirtyLines(), recount(bitmap))
-            << "op #" << i;
-        ASSERT_EQ(bitmap.dirtyPages(), shadow.size()) << "op #" << i;
-    }
-    bitmap.clearAll();
-    EXPECT_EQ(bitmap.totalDirtyLines(), 0u);
-    EXPECT_EQ(bitmap.totalDirtyBytes(), 0u);
-    EXPECT_EQ(bitmap.dirtyPages(), 0u);
-}
+INSTANTIATE_TEST_SUITE_P(SetCounts, FMemDifferential,
+                         ::testing::Values(16, 12));
 
 // ---------------------------------------------------------------------
 // Snoop filter: every line any CPU cache level holds belongs to an
@@ -718,6 +656,201 @@ TEST(SnoopFilterInvariantRack, CoversCachesUnderCoherence)
                   rack.runtime(1).coherenceAgent()->invalidationsReceived(),
               100u);
 }
+
+// ---------------------------------------------------------------------
+// Per-frame dirty masks against the hash-keyed DirtyLineBitmap they
+// replaced, kept here as the reference model. The reference sees the
+// same marks (the runtime's writes and the hierarchy's writebacks) and
+// forgets a page when it leaves FMem. Evictions here are synchronous,
+// so between operations no page is in flight: a shipped page has left
+// FMem, and a failed one kept its packed lines. On every resident page
+// the two must then agree, and no absent page may hold a mask.
+// ---------------------------------------------------------------------
+
+/** The pre-per-frame tracker: page number -> dirty-line mask. */
+class DirtyLineBitmap
+{
+  public:
+    /** Mark all cache-lines overlapped by [addr, addr+size) dirty. */
+    void
+    markRange(Addr addr, std::size_t size)
+    {
+        if (size == 0)
+            return;
+        Addr firstLine = alignDown(addr, cacheLineSize) / cacheLineSize;
+        Addr lastLine =
+            alignDown(addr + size - 1, cacheLineSize) / cacheLineSize;
+        for (Addr pn = firstLine / linesPerPage;
+             pn <= lastLine / linesPerPage; ++pn) {
+            Addr lo = pn == firstLine / linesPerPage
+                          ? firstLine % linesPerPage
+                          : 0;
+            Addr hi = pn == lastLine / linesPerPage
+                          ? lastLine % linesPerPage
+                          : linesPerPage - 1;
+            std::uint64_t mask = hi - lo == 63
+                                     ? ~std::uint64_t{0}
+                                     : ((std::uint64_t{1}
+                                         << (hi - lo + 1)) -
+                                        1)
+                                           << lo;
+            masks_[pn] |= mask;
+        }
+    }
+
+    /** Mark the single cache-line containing @p addr dirty. */
+    void
+    markLine(Addr addr)
+    {
+        masks_[pageNumber(addr)] |= 1ULL << lineInPage(addr);
+    }
+
+    /** Dirty mask for page @p pn (0 if clean/untracked). */
+    std::uint64_t
+    pageMask(Addr pn) const
+    {
+        auto it = masks_.find(pn);
+        return it == masks_.end() ? 0 : it->second;
+    }
+
+    /** Forget page @p pn. */
+    void clearPage(Addr pn) { masks_.erase(pn); }
+
+  private:
+    std::unordered_map<Addr, std::uint64_t> masks_;
+};
+
+/** Passes the hierarchy's events to the FPGA and mirrors every VFMem
+ *  writeback into the reference. */
+class WritebackTee : public MemorySideListener
+{
+  public:
+    WritebackTee(CoherentFpga &fpga, DirtyLineBitmap &ref)
+        : fpga_(fpga), ref_(ref)
+    {}
+
+    void
+    onLineRequest(Addr lineAddr, AccessType type) override
+    {
+        fpga_.onLineRequest(lineAddr, type);
+    }
+
+    void
+    onWriteback(Addr lineAddr) override
+    {
+        fpga_.onWriteback(lineAddr);
+        if (fpga_.inVFMem(lineAddr))
+            ref_.markLine(lineAddr);
+    }
+
+  private:
+    CoherentFpga &fpga_;
+    DirtyLineBitmap &ref_;
+};
+
+class DirtyMaskDifferential
+    : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(DirtyMaskDifferential, MatchesHashKeyedBitmap)
+{
+    Fabric fabric;
+    Controller controller(1 * MiB);
+    std::vector<std::unique_ptr<MemoryNode>> nodes;
+    for (NodeId id = 1; id <= 3; ++id) {
+        nodes.push_back(std::make_unique<MemoryNode>(fabric, id, 32 * MiB));
+        controller.registerNode(*nodes.back());
+    }
+    KonaConfig cfg;
+    cfg.fpga.vfmemSize = 64 * MiB;
+    cfg.fpga.fmemSize = 64 * pageSize;
+    cfg.hierarchy = HierarchyConfig::scaled();
+    cfg.evict.pumpPeriod = 32;
+    cfg.replicationFactor = GetParam();
+    KonaRuntime runtime(fabric, controller, 0, cfg);
+    CoherentFpga &fpga = runtime.fpga();
+    EvictionHandler &evictor = runtime.evictionHandler();
+    DirtyLineBitmap ref;
+    WritebackTee tee(fpga, ref);
+    runtime.hierarchy().setListener(&tee);
+    fpga.setDropHook([&ref](Addr vpn) { ref.clearPage(vpn); });
+
+    // Three slabs, so the pages' homes differ.
+    constexpr std::size_t pages = 3 * 256;
+    const Addr base = runtime.allocate(pages * pageSize, pageSize);
+    const Addr firstVpn = pageNumber(base);
+    auto agree = [&]() -> ::testing::AssertionResult {
+        for (Addr vpn = firstVpn; vpn < firstVpn + pages; ++vpn) {
+            const std::uint64_t want = ref.pageMask(vpn);
+            const bool resident = fpga.pageResident(vpn);
+            const std::uint64_t got = resident ? fpga.dirtyMask(vpn) : 0;
+            if (got != want) {
+                return ::testing::AssertionFailure()
+                       << (resident ? "resident" : "absent") << " page "
+                       << vpn << ": mask " << got << ", reference "
+                       << want;
+            }
+        }
+        return ::testing::AssertionSuccess();
+    };
+
+    Rng rng(0xd127ull + GetParam());
+    std::uint64_t failedShipments = 0;
+    std::uint8_t buf[160];
+    for (int i = 0; i < 6000; ++i) {
+        const double dice = rng.uniform();
+        const Addr vpn = firstVpn + rng.below(pages);
+        if (dice < 0.30) {
+            // A write inside one page. The reference marks first: the
+            // write cannot drop its own page before marking it, but a
+            // pump after the mark may drop it.
+            std::size_t size = 1 + rng.below(sizeof(buf));
+            Addr addr = vpn * pageSize + rng.below(pageSize - size + 1);
+            for (std::size_t b = 0; b < size; ++b)
+                buf[b] = static_cast<std::uint8_t>(rng.next());
+            ref.markRange(addr, size);
+            runtime.write(addr, buf, size);
+        } else if (dice < 0.90) {
+            runtime.read(vpn * pageSize + rng.below(pageSize - 8), buf, 8);
+        } else if (dice < 0.95) {
+            runtime.hierarchy().flushAll();
+        } else if (dice < 0.98) {
+            evictor.evictBatch({vpn, vpn + 1 < firstVpn + pages ? vpn + 1
+                                                                : vpn - 1},
+                               runtime.backgroundClock());
+        } else {
+            // Every home of a dirty resident page down: the shipment
+            // fails and the page keeps its packed lines.
+            std::vector<Addr> dirty;
+            for (Addr p : fpga.fmem().residentPages()) {
+                if (fpga.dirtyMask(p) != 0)
+                    dirty.push_back(p);
+            }
+            if (dirty.empty())
+                continue;
+            const Addr victim = dirty[rng.below(dirty.size())];
+            const CopySet copies = fpga.replicas().copies(victim);
+            for (std::size_t c = 0; c < copies.size(); ++c)
+                fabric.setNodeDown(copies[c].node, true);
+            evictor.evictBatch({victim}, runtime.backgroundClock());
+            for (std::size_t c = 0; c < copies.size(); ++c)
+                fabric.setNodeDown(copies[c].node, false);
+            ASSERT_TRUE(fpga.pageResident(victim)) << "op " << i;
+            ASSERT_NE(fpga.dirtyMask(victim), 0u) << "op " << i;
+            ++failedShipments;
+        }
+        ASSERT_TRUE(agree()) << "op " << i;
+    }
+    EXPECT_GT(failedShipments, 20u);
+    EXPECT_GT(evictor.pagesEvicted(), 1000u);
+    EXPECT_GT(evictor.silentEvictions(), 100u);
+    EXPECT_GT(evictor.dirtyLinesWritten(), 1000u);
+    EXPECT_EQ(runtime.reliability().nodesFailed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Replication, DirtyMaskDifferential,
+                         ::testing::Values(0, 1));
 
 } // namespace
 } // namespace kona

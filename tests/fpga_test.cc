@@ -282,6 +282,32 @@ TEST_F(FpgaFixture, WritebackObservationMarksDirtyLines)
     EXPECT_EQ(fpga->dirtyMask(pageNumber(base)), 0u);
 }
 
+TEST_F(FpgaFixture, DirtyMarkOnNonResidentPagePanics)
+{
+    // A mask lives in the page's FMem frame; an absent page has none,
+    // so a mark aimed at one is an invariant violation, not a no-op.
+    const Addr vpn = pageNumber(base);
+    EXPECT_THROW(fpga->onWriteback(base + cacheLineSize), PanicError);
+    EXPECT_THROW(fpga->markDirtyRange(base, 8), PanicError);
+    EXPECT_THROW(fpga->orDirtyMask(vpn, 1), PanicError);
+    EXPECT_NO_THROW(fpga->orDirtyMask(vpn, 0));
+    EXPECT_EQ(fpga->dirtyMask(vpn), 0u);
+}
+
+TEST_F(FpgaFixture, DroppingADirtyPagePanics)
+{
+    SimClock clock;
+    const Addr vpn = pageNumber(base);
+    fpga->serveLine(base, AccessType::Read, clock);
+    fpga->onWriteback(base + cacheLineSize);
+    // Its dirty line never shipped: the drop must not lose it.
+    EXPECT_THROW(fpga->dropPage(vpn), PanicError);
+    EXPECT_TRUE(fpga->pageResident(vpn));
+    fpga->clearDirty(vpn);
+    EXPECT_NO_THROW(fpga->dropPage(vpn));
+    EXPECT_FALSE(fpga->pageResident(vpn));
+}
+
 TEST_F(FpgaFixture, WritebacksOutsideVFMemIgnored)
 {
     fpga->onWriteback(0x1234);   // a CMem address

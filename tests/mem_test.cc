@@ -1,15 +1,18 @@
 /**
  * @file
  * Unit tests for src/mem: backing store, page table, TLB, region
- * allocator, dirty bitmaps and page snapshots — including property
- * sweeps over randomized allocation workloads.
+ * allocator, dirty-line masks (kept per FMem frame by the coherent
+ * FPGA) and page snapshots — including property sweeps over
+ * randomized allocation workloads.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "common/rng.h"
+#include "fpga/coherent_fpga.h"
 #include "mem/backing_store.h"
 #include "mem/dirty_bitmap.h"
 #include "mem/page_snapshot.h"
@@ -266,41 +269,72 @@ TEST_P(RegionAllocatorProperty, RandomTrafficKeepsInvariants)
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionAllocatorProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-TEST(DirtyLineBitmap, MarkLineAndRange)
+/** A coherent FPGA whose first three VFMem pages are resident, so the
+ *  dirty-line masks of their frames can be marked and read. */
+class DirtyMask : public ::testing::Test
 {
-    DirtyLineBitmap bitmap;
-    bitmap.markLine(0);
-    bitmap.markLine(64);
-    EXPECT_EQ(bitmap.pageMask(0), 0b11u);
-    bitmap.markRange(pageSize + 100, 200);   // lines 1..4 of page 1
-    EXPECT_EQ(bitmap.pageMask(1), 0b11110u);
-    EXPECT_EQ(bitmap.dirtyLines(1), 4u);
+  protected:
+    DirtyMask() : controller(1 * MiB), node(fabric, 1, 16 * MiB)
+    {
+        controller.registerNode(node);
+        FpgaConfig cfg;
+        cfg.vfmemSize = 4 * MiB;
+        cfg.fmemSize = 1 * MiB;
+        fpga = std::make_unique<CoherentFpga>(fabric, 0, cfg);
+        base = cfg.vfmemBase;
+        fpga->translation().addSlab(
+            base, *controller.allocateSlab(
+                      PlacementRequest{.required = true}));
+        SimClock clock;
+        for (Addr p = 0; p < 3; ++p)
+            fpga->serveLine(base + p * pageSize, AccessType::Read, clock);
+    }
+
+    std::uint64_t mask(Addr p) const
+    {
+        return fpga->dirtyMask(pageNumber(base) + p);
+    }
+
+    Fabric fabric;
+    Controller controller;
+    MemoryNode node;
+    std::unique_ptr<CoherentFpga> fpga;
+    Addr base = 0;
+};
+
+TEST_F(DirtyMask, MarkLineAndRange)
+{
+    fpga->onWriteback(base);
+    fpga->onWriteback(base + 64);
+    EXPECT_EQ(mask(0), 0b11u);
+    fpga->markDirtyRange(base + pageSize + 100, 200);   // lines 1..4
+    EXPECT_EQ(mask(1), 0b11110u);
+    EXPECT_EQ(mask(2), 0u);
 }
 
-TEST(DirtyLineBitmap, RangeSpanningPages)
+TEST_F(DirtyMask, RangeSpanningPages)
 {
-    DirtyLineBitmap bitmap;
-    bitmap.markRange(pageSize - 64, 128);   // last line of p0, first of p1
-    EXPECT_EQ(bitmap.pageMask(0), 1ULL << 63);
-    EXPECT_EQ(bitmap.pageMask(1), 1ULL);
+    // The last line of page 0 and the first of page 1.
+    fpga->markDirtyRange(base + pageSize - 64, 128);
+    EXPECT_EQ(mask(0), 1ULL << 63);
+    EXPECT_EQ(mask(1), 1ULL);
 }
 
-TEST(DirtyLineBitmap, TotalsAndClear)
+TEST_F(DirtyMask, WholePagesAndClear)
 {
-    DirtyLineBitmap bitmap;
-    bitmap.markRange(0, pageSize);   // whole page 0
-    bitmap.markLine(pageSize);
-    EXPECT_EQ(bitmap.totalDirtyLines(), 65u);
-    EXPECT_EQ(bitmap.totalDirtyBytes(), 65u * cacheLineSize);
-    EXPECT_EQ(bitmap.dirtyPages(), 2u);
-    EXPECT_EQ(bitmap.clearPage(0), ~0ULL);
-    EXPECT_EQ(bitmap.pageMask(0), 0u);
-    EXPECT_EQ(bitmap.dirtyPages(), 1u);
-    bitmap.clearAll();
-    EXPECT_EQ(bitmap.dirtyPages(), 0u);
+    fpga->markDirtyRange(base, 2 * pageSize);
+    fpga->onWriteback(base + 2 * pageSize);
+    EXPECT_EQ(mask(0), ~0ULL);
+    EXPECT_EQ(mask(1), ~0ULL);
+    fpga->clearDirty(pageNumber(base));
+    EXPECT_EQ(mask(0), 0u);
+    EXPECT_EQ(mask(1), ~0ULL);
+    fpga->orDirtyMask(pageNumber(base), 0b101);
+    EXPECT_EQ(mask(0), 0b101u);
+    EXPECT_EQ(mask(2), 1u);
 }
 
-TEST(DirtyLineBitmap, SegmentCounting)
+TEST(DirtyMaskSegments, SegmentCounting)
 {
     EXPECT_EQ(segmentCount(0), 0u);
     EXPECT_EQ(segmentCount(0b1), 1u);

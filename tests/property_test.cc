@@ -3,7 +3,8 @@
  * Property-style parameterized sweeps across the whole stack:
  * workload determinism, KvStore equivalence against a reference map,
  * Zipf invariants, TLB capacity behaviour, linked-chain RDMA
- * integrity, and snapshot-diff equivalence with the dirty bitmap.
+ * integrity, and snapshot-diff equivalence with the FPGA's per-frame
+ * dirty-line masks.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,8 @@
 #include <unordered_map>
 
 #include "common/rng.h"
+#include "core/kona_runtime.h"
 #include "mem/backing_store.h"
-#include "mem/dirty_bitmap.h"
 #include "mem/page_snapshot.h"
 #include "mem/tlb.h"
 #include "net/queue_pair.h"
@@ -241,44 +242,53 @@ TEST_P(LinkedChainIntegrity, AllPayloadsLand)
 INSTANTIATE_TEST_SUITE_P(ChainLengths, LinkedChainIntegrity,
                          ::testing::Values(1, 2, 7, 32, 128));
 
-/** The dirty bitmap (coherence view) and a snapshot diff (content
- *  view) must agree whenever every write changes bytes. */
+/** The FPGA's per-frame dirty masks (coherence view) and a snapshot
+ *  diff of FMem (content view) must agree whenever every write
+ *  changes bytes. */
 class TrackingEquivalence : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(TrackingEquivalence, BitmapMatchesSnapshotDiff)
+TEST_P(TrackingEquivalence, DirtyMasksMatchSnapshotDiff)
 {
-    BackingStore store(4 * MiB);
-    PageSnapshotStore snaps;
-    DirtyLineBitmap bitmap;
-    Rng rng(GetParam());
+    Fabric fabric;
+    Controller controller(1 * MiB);
+    MemoryNode node(fabric, 1, 16 * MiB);
+    controller.registerNode(node);
+    KonaConfig cfg;
+    cfg.fpga.fmemSize = 1 * MiB;   // 64 sets: 32 pages never collide
+    cfg.hierarchy = HierarchyConfig::scaled();
+    KonaRuntime runtime(fabric, controller, 0, cfg);
 
     constexpr int pages = 32;
+    const Addr base = runtime.allocate(pages * pageSize, pageSize);
+    const Addr firstVpn = pageNumber(base);
+    PageSnapshotStore snaps;
     for (Addr pn = 0; pn < pages; ++pn)
-        snaps.capture(pn, store);
+        snaps.capture(firstVpn + pn, runtime);
 
+    Rng rng(GetParam());
     for (int i = 0; i < 500; ++i) {
         Addr pn = rng.below(pages);
         std::size_t offset = rng.below(pageSize - 8);
-        Addr addr = pn * pageSize + offset;
         // All eight bytes nonzero, so every touched line's content
         // provably differs from the all-zero snapshot.
         std::uint64_t stamp = 0x0101010101010101ULL *
                               (static_cast<std::uint64_t>(i % 255) +
                                1);
-        store.write(addr, &stamp, sizeof(stamp));
-        bitmap.markRange(addr, sizeof(stamp));
+        runtime.write(base + pn * pageSize + offset, &stamp,
+                      sizeof(stamp));
     }
 
-    for (Addr pn = 0; pn < pages; ++pn) {
-        std::uint64_t diffMask = snaps.diffLines(pn, store);
-        std::uint64_t trackMask = bitmap.pageMask(pn);
+    for (Addr vpn = firstVpn; vpn < firstVpn + pages; ++vpn) {
+        ASSERT_TRUE(runtime.fpga().pageResident(vpn));
+        std::uint64_t diffMask = snaps.diffLines(vpn, runtime);
+        std::uint64_t trackMask = runtime.fpga().dirtyMask(vpn);
         // Every content change was tracked...
-        EXPECT_EQ(diffMask & ~trackMask, 0u) << "page " << pn;
+        EXPECT_EQ(diffMask & ~trackMask, 0u) << "page " << vpn;
         // ...and tracking at most adds lines whose write re-wrote
         // identical bytes (impossible here), so the masks are equal.
-        EXPECT_EQ(diffMask, trackMask) << "page " << pn;
+        EXPECT_EQ(diffMask, trackMask) << "page " << vpn;
     }
 }
 
